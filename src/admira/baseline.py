@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import FactoredMatrix, truncated_svd
+from .linalg import SVD_MODES, FactoredMatrix, truncated_svd
 from .operators import SamplingOperator
 from .solver import SolverReport, _ground_truth_error
 
@@ -53,6 +53,10 @@ class SvtConfig:
             raise ValueError("tau and step must be positive")
         if self.residual_tol <= 0:
             raise ValueError("residual_tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        if self.svd_mode not in SVD_MODES:
+            raise ValueError(f"unknown svd_mode: {self.svd_mode!r}")
 
 
 def default_config(m, n, p, **overrides):

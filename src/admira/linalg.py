@@ -23,6 +23,7 @@ ORTHO_TOL = 1e-8
 # Matrices with min(m, n) at or below this use a dense SVD; larger ones
 # go through the Lanczos path.
 DENSE_FALLBACK_DIM = 400
+SVD_MODES = ("auto", "dense", "lanczos")
 
 
 class LanczosConvergenceError(RuntimeError):
@@ -242,7 +243,7 @@ def truncated_svd(M, k, mode="auto", tol=1e-10, seed=0):
     if k < 1:
         raise ValueError("k must be at least 1")
     shape = M.shape
-    if mode not in ("auto", "dense", "lanczos"):
+    if mode not in SVD_MODES:
         raise ValueError(f"unknown svd mode: {mode!r}")
     is_operator = isinstance(M, LinearOperator)
     if mode == "auto":

@@ -18,6 +18,11 @@ import scipy.sparse as sp
 from .linalg import FactoredMatrix, check_dense
 
 
+# Gaussian operators whose frames would take more memory than this are
+# refused before anything is allocated.
+GAUSSIAN_FRAME_LIMIT_BYTES = 2**31
+
+
 def _rng(*key):
     """Deterministic 64-bit PRNG (PCG64) keyed by a tuple of integers."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
@@ -36,16 +41,15 @@ class MeasurementOperator(abc.ABC):
 
     def apply(self, X):
         """Forward map.  Accepts dense arrays, factored matrices, and
-        scipy sparse matrices; factored inputs are never densified."""
+        scipy sparse matrices.  Factored inputs go through
+        :meth:`apply_combination`: entry sampling never forms the m-by-n
+        matrix, and the Gaussian map forms it as one m*n vector, which is
+        smaller than its p*m*n frames."""
         if isinstance(X, FactoredMatrix):
             if X.shape != self.shape:
                 raise ValueError("operator/matrix shape mismatch")
             return self.apply_combination(X.left, X.right, X.sigmas)
         return self._apply_explicit(X)
-
-    def apply_factored(self, F):
-        """Forward map on a factored matrix (alias for :meth:`apply`)."""
-        return self.apply(F)
 
     def apply_rank_one(self, u, v):
         """Measurements of the rank-one matrix ``u v^T``."""
@@ -58,6 +62,11 @@ class MeasurementOperator(abc.ABC):
 
         Coefficients may be negative; no ordering is assumed.
         """
+
+    @abc.abstractmethod
+    def atom_columns(self, left, right):
+        """Measurements of every atom ``left[:,k] right[:,k]^T`` at once,
+        as the columns of a p-by-K array."""
 
     @abc.abstractmethod
     def _apply_explicit(self, X):
@@ -94,6 +103,11 @@ class GaussianOperator(MeasurementOperator):
             raise ValueError("dimensions must be positive")
         self.m, self.n, self.p = int(m), int(n), int(p)
         self.seed = int(seed)
+        nbytes = 8 * self.p * self.m * self.n
+        if nbytes > GAUSSIAN_FRAME_LIMIT_BYTES:
+            raise ValueError(
+                f"Gaussian frames for {self.m}x{self.n} at p={self.p} need "
+                f"{nbytes} bytes, above the {GAUSSIAN_FRAME_LIMIT_BYTES}-byte limit")
         frames = _rng(self.seed).standard_normal((self.p, self.m * self.n))
         frames /= np.sqrt(self.p)
         frames.flags.writeable = False
@@ -110,13 +124,13 @@ class GaussianOperator(MeasurementOperator):
         return self.frames @ X.ravel()
 
     def apply_combination(self, left, right, coeffs):
-        # Per-term contraction keeps memory at O(p m); the dense m-by-n
-        # product is never formed.
-        frames3 = self.frames.reshape(self.p, self.m, self.n)
-        y = np.zeros(self.p)
-        for c, u, v in zip(coeffs, left.T, right.T):
-            y += c * ((frames3 @ v) @ u)
-        return y
+        # One pass over the frames: the m*n vector of the combination is
+        # always smaller than the p*m*n frames it is contracted with.
+        return self.frames @ ((left * coeffs) @ right.T).ravel()
+
+    def atom_columns(self, left, right):
+        atoms = left[:, None, :] * right[None, :, :]
+        return self.frames @ atoms.reshape(self.m * self.n, left.shape[1])
 
     def adjoint(self, y):
         y = self._check_vec(y)
@@ -126,22 +140,32 @@ class GaussianOperator(MeasurementOperator):
 def sample_indices_without_replacement(total, count, seed):
     """``count`` distinct integers from ``range(total)`` by a seeded
     partial Fisher-Yates shuffle over a virtual range (no length-``total``
-    array is materialized)."""
+    array is materialized).
+
+    Step ``i`` swaps position ``i`` with a uniform position ``j`` in
+    ``[i, total)``.  All swap targets are drawn in one call, which gives
+    the same stream as drawing them one step at a time; only the swaps
+    are replayed in Python, over a dict of the positions touched.
+    """
     if not 0 <= count <= total:
         raise ValueError("need 0 <= count <= total")
-    rng = _rng(seed)
+    targets = _rng(seed).integers(np.arange(count), total).tolist()
     swapped = {}
-    out = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        j = int(rng.integers(i, total))
-        out[i] = swapped.get(j, j)
+    out = []
+    for i, j in enumerate(targets):
+        out.append(swapped.get(j, j))
         swapped[j] = swapped.get(i, i)
-    return out
+    return np.array(out, dtype=np.int64)
 
 
 class SamplingOperator(MeasurementOperator):
     """Entry sampling: measurement k reads the matrix entry at
-    ``(rows[k], cols[k])``.  Index pairs are distinct."""
+    ``(rows[k], cols[k])``.  Index pairs are distinct.
+
+    The row-major order of the samples is computed once, at
+    construction; it serves the distinctness check and gives the adjoint
+    its CSR layout, so :meth:`adjoint` only permutes its input.
+    """
 
     def __init__(self, m, n, rows, cols, seed=None):
         self.m, self.n = int(m), int(n)
@@ -155,13 +179,22 @@ class SamplingOperator(MeasurementOperator):
                           or cols.min() < 0 or cols.max() >= self.n):
             raise ValueError("sample index out of range")
         flat = rows * self.n + cols
-        if np.unique(flat).size != flat.size:
+        order = np.argsort(flat, kind="stable")
+        flat = flat[order]
+        if np.any(flat[1:] == flat[:-1]):
             raise ValueError("sample indices must be distinct")
         self.p = rows.size
-        rows.flags.writeable = False
-        cols.flags.writeable = False
+        # CSR arrays in the index dtype scipy itself would choose
+        index_dtype = (np.int32 if max(self.m, self.n, self.p) <= np.iinfo(np.int32).max
+                       else np.int64)
+        indptr = np.zeros(self.m + 1, dtype=index_dtype)
+        np.cumsum(np.bincount(rows, minlength=self.m), out=indptr[1:])
+        indices = cols[order].astype(index_dtype)
+        for a in (rows, cols, order, indices, indptr):
+            a.flags.writeable = False
         self.rows, self.cols = rows, cols
         self.seed = seed
+        self._order, self._indices, self._indptr = order, indices, indptr
 
     @classmethod
     def random(cls, m, n, p, seed=0):
@@ -185,16 +218,22 @@ class SamplingOperator(MeasurementOperator):
         return X[self.rows, self.cols]
 
     def apply_combination(self, left, right, coeffs):
+        return self.atom_columns(left * coeffs, right).sum(axis=1)
+
+    def atom_columns(self, left, right):
         if left.shape[0] != self.m or right.shape[0] != self.n:
             raise ValueError("operator/matrix shape mismatch")
-        if coeffs.size == 0:
-            return np.zeros(self.p)
-        return ((left * coeffs)[self.rows] * right[self.cols]).sum(axis=1)
+        # np.take gathers rows several times faster than fancy indexing
+        columns = np.take(left, self.rows, axis=0)
+        columns *= np.take(right, self.cols, axis=0)
+        return columns
 
     def adjoint(self, y):
         y = self._check_vec(y)
-        return sp.coo_matrix((y, (self.rows, self.cols)),
-                             shape=self.shape).tocsr()
+        S = sp.csr_matrix((y[self._order], self._indices, self._indptr),
+                          shape=self.shape)
+        S.has_canonical_format = True
+        return S
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .linalg import AtomSet, FactoredMatrix, best_rank_r, svd_of_factored, truncated_svd
+from .linalg import (SVD_MODES, AtomSet, FactoredMatrix, best_rank_r, svd_of_factored,
+                     truncated_svd)
 
 # Above this many stored values the least-squares columns are not formed
 # explicitly and the normal equations are solved matrix-free.
@@ -72,6 +73,8 @@ class SolverConfig:
             raise ValueError("stall_tol must be nonnegative")
         if self.ls_method not in ("auto", "qr", "cg", "richardson"):
             raise ValueError(f"unknown ls_method: {self.ls_method!r}")
+        if self.svd_mode not in SVD_MODES:
+            raise ValueError(f"unknown svd_mode: {self.svd_mode!r}")
 
 
 @dataclass
@@ -196,9 +199,7 @@ def least_squares_on_span(op, b, atoms, method="auto", tol=1e-12, max_iter=None)
         method = "qr" if dense_ok else "cg"
 
     if method == "qr" or dense_ok:
-        C = np.empty((op.p, K))
-        for k in range(K):
-            C[:, k] = op.apply_rank_one(atoms.left[:, k], atoms.right[:, k])
+        C = op.atom_columns(atoms.left, atoms.right)
         matvec = lambda a: C @ a
         rmatvec = lambda y: C.T @ y
     else:
@@ -208,9 +209,7 @@ def least_squares_on_span(op, b, atoms, method="auto", tol=1e-12, max_iter=None)
             return op.apply_combination(atoms.left, atoms.right, a)
 
         def rmatvec(y):
-            S = op.adjoint(y)
-            return np.array([atoms.left[:, k] @ (S @ atoms.right[:, k])
-                             for k in range(K)])
+            return np.sum(atoms.left * (op.adjoint(y) @ atoms.right), axis=0)
 
     if method == "qr":
         alpha = _solve_qr(C, b)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from first principles, without
 calling into the package under test: a one-sided Jacobi SVD, a
-normal-equations least-squares solver, and an alternating power-method
-search for the extreme rank-one measurement gains.
+normal-equations least-squares solver, an alternating power-method
+search for the extreme rank-one measurement gains, and a step-by-step
+partial Fisher-Yates shuffle.
 """
 
 import numpy as np
@@ -106,3 +107,17 @@ def rank_one_gain_extremes(apply_rank_one, m, n, restarts=50, iters=200, seed=0)
             else:
                 best_min = min(best_min, val)
     return best_max, best_min
+
+
+def fisher_yates_indices(total, count, seed):
+    """``count`` distinct integers from ``range(total)``: a partial
+    Fisher-Yates shuffle over a virtual range, one PCG64 draw per step
+    from the generator keyed by ``(seed,)``, swaps kept in a dict."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
+    swapped = {}
+    out = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        j = int(rng.integers(i, total))
+        out[i] = swapped.get(j, j)
+        swapped[j] = swapped.get(i, i)
+    return out

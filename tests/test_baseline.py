@@ -27,6 +27,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             SvtConfig(tau=1.0, step=-1.0)
 
+    def test_rejects_unknown_svd_mode(self):
+        with pytest.raises(ValueError, match="svd_mode"):
+            SvtConfig(tau=1.0, step=1.0, svd_mode="randomized")
+        with pytest.raises(ValueError, match="svd_mode"):
+            default_config(10, 10, 50, svd_mode="Dense")
+
+    def test_rejects_max_iter_below_one(self):
+        for max_iter in (0, -3):
+            with pytest.raises(ValueError, match="max_iter"):
+                SvtConfig(tau=1.0, step=1.0, max_iter=max_iter)
+        assert SvtConfig(tau=1.0, step=1.0, max_iter=1).max_iter == 1
+
 
 class TestSoftThreshold:
     def test_exact_shrinkage(self):

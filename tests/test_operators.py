@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from admira import operators
 from admira.linalg import FactoredMatrix
 from admira.operators import (
+    GAUSSIAN_FRAME_LIMIT_BYTES,
     GaussianOperator,
     SamplingOperator,
     estimate_delta,
@@ -11,7 +13,18 @@ from admira.operators import (
     sample_indices_without_replacement,
 )
 
-from oracles import rank_one_gain_extremes
+from oracles import fisher_yates_indices, rank_one_gain_extremes
+
+
+def make_operator(kind, m, n, p, seed):
+    if kind == "gaussian":
+        return GaussianOperator(m, n, p, seed=seed)
+    return SamplingOperator.random(m, n, p, seed=seed)
+
+
+def unit_columns(rng, d, k):
+    B = rng.standard_normal((d, k))
+    return B / np.linalg.norm(B, axis=0)
 
 
 def random_low_rank(rng, m, n, k):
@@ -47,6 +60,27 @@ class TestApply:
             np.testing.assert_allclose(fact_out, dense_out,
                                        atol=1e-12 * max(1.0, np.abs(dense_out).max()))
 
+    @pytest.mark.parametrize("kind", ["gaussian", "sampling"])
+    @pytest.mark.parametrize("m, n", [(5, 8), (8, 5)])
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_factored_with_signed_terms_matches_dense(self, kind, m, n, k):
+        # non-orthonormal factors with some terms negated, as the
+        # least-squares fit returns them, and the empty combination
+        op = make_operator(kind, m, n, 30, seed=11)
+        rng = np.random.default_rng(m * 10 + k)
+        signs = np.where(rng.random(k) < 0.5, -1.0, 1.0)
+        sigmas = np.sort(rng.uniform(0.1, 3.0, k))[::-1]
+        left, right = unit_columns(rng, m, k), unit_columns(rng, n, k)
+        F = FactoredMatrix((m, n), sigmas, left * signs, right)
+        dense = F.densify()
+        scale = max(1.0, np.abs(dense).max())
+        np.testing.assert_allclose(op.apply(F), op.apply(dense), rtol=0,
+                                   atol=1e-12 * scale)
+        # the same terms as negative coefficients
+        np.testing.assert_allclose(
+            op.apply_combination(left, right, sigmas * signs),
+            op.apply(dense), rtol=0, atol=1e-12 * scale)
+
     def test_linear(self, operator):
         rng = np.random.default_rng(1)
         X, Y = rng.standard_normal((2, 9, 7))
@@ -57,6 +91,32 @@ class TestApply:
     def test_shape_mismatch_rejected(self, operator):
         with pytest.raises(ValueError):
             operator.apply(np.zeros((3, 3)))
+
+
+class TestAtomColumns:
+    @pytest.mark.parametrize("kind", ["gaussian", "sampling"])
+    @pytest.mark.parametrize("m, n", [(5, 8), (8, 5)])
+    def test_columns_are_rank_one_measurements(self, kind, m, n):
+        op = make_operator(kind, m, n, 35, seed=3)
+        rng = np.random.default_rng(m)
+        left, right = rng.standard_normal((m, 6)), rng.standard_normal((n, 6))
+        C = op.atom_columns(left, right)
+        assert C.shape == (35, 6)
+        for k in range(6):
+            col = op.apply_rank_one(left[:, k], right[:, k])
+            if kind == "sampling":
+                np.testing.assert_array_equal(C[:, k], col)
+            else:
+                np.testing.assert_allclose(C[:, k], col, rtol=1e-12,
+                                           atol=1e-12 * np.abs(col).max())
+
+    def test_no_atoms(self, operator):
+        C = operator.atom_columns(np.zeros((9, 0)), np.zeros((7, 0)))
+        assert C.shape == (40, 0)
+
+    def test_shape_mismatch_rejected(self, operator):
+        with pytest.raises(ValueError):
+            operator.atom_columns(np.ones((3, 2)), np.ones((7, 2)))
 
 
 class TestAdjoint:
@@ -88,6 +148,32 @@ class TestAdjoint:
             dense = back.toarray() if sp.issparse(back) else back
             rhs = np.sum(X * dense)
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("op", [
+        SamplingOperator.random(9, 7, 40, seed=5),
+        SamplingOperator.random(4, 11, 30, seed=6),
+        SamplingOperator(5, 3, [4, 0, 2, 0, 4], [0, 2, 1, 0, 2]),
+        SamplingOperator.identity(4, 6),
+        SamplingOperator(3, 4, [], []),
+    ], ids=["random-tall", "random-wide", "unsorted", "identity", "empty"])
+    def test_sampling_adjoint_matches_coo_to_csr(self, op):
+        # the prebuilt CSR layout reproduces scipy's own conversion
+        # array for array
+        y = np.random.default_rng(op.p).standard_normal(op.p)
+        got = op.adjoint(y)
+        want = sp.coo_matrix((y, (op.rows, op.cols)), shape=op.shape).tocsr()
+        assert isinstance(got, sp.csr_matrix) and got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        assert got.has_sorted_indices
+
+    def test_sampling_adjoint_results_are_independent(self):
+        op = SamplingOperator.random(6, 5, 12, seed=2)
+        first = op.adjoint(np.ones(12))
+        second = op.adjoint(2.0 * np.ones(12))
+        np.testing.assert_array_equal(first.toarray() * 2.0, second.toarray())
 
     def test_sampling_apply_adjoint_is_identity(self):
         op = SamplingOperator.random(6, 8, 20, seed=9)
@@ -127,10 +213,44 @@ class TestSamplingConstruction:
         np.testing.assert_array_equal(
             idx, sample_indices_without_replacement(10**9, 500, seed=7))
 
+    @pytest.mark.parametrize("total, count, seed", [
+        (1, 0, 0), (1, 1, 0), (10, 0, 3), (10, 10, 3), (10, 4, 5),
+        (2500, 937, 1), (2500, 2500, 2), (10**9, 300, 7), (250000, 9354, 11),
+    ])
+    def test_matches_step_by_step_shuffle(self, total, count, seed):
+        got = sample_indices_without_replacement(total, count, seed)
+        assert got.dtype == np.int64 and got.shape == (count,)
+        np.testing.assert_array_equal(got, fisher_yates_indices(total, count, seed))
+
+    def test_sample_count_out_of_range_rejected(self):
+        for total, count in ((5, 6), (5, -1)):
+            with pytest.raises(ValueError):
+                sample_indices_without_replacement(total, count, 0)
+
     def test_random_covers_range(self):
         op = SamplingOperator.random(5, 4, 20, seed=1)  # all entries
         flat = np.sort(op.rows * 4 + op.cols)
         np.testing.assert_array_equal(flat, np.arange(20))
+
+
+class TestGaussianMemoryGuard:
+    def test_limit_is_checked_before_allocation(self, monkeypatch):
+        # 200x200 at p=20000 needs 6.4 GB of frames; the generator that
+        # would fill them must never be reached
+        def no_draw(*key):
+            raise AssertionError("frames were about to be allocated")
+
+        monkeypatch.setattr(operators, "_rng", no_draw)
+        assert 8 * 200 * 200 * 20000 > GAUSSIAN_FRAME_LIMIT_BYTES
+        with pytest.raises(ValueError, match="6400000000 bytes"):
+            GaussianOperator(200, 200, 20000)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        # 3x4 at p=5 needs exactly 480 bytes
+        monkeypatch.setattr(operators, "GAUSSIAN_FRAME_LIMIT_BYTES", 480)
+        assert GaussianOperator(3, 4, 5).frames.nbytes == 480
+        with pytest.raises(ValueError, match="576 bytes"):
+            GaussianOperator(3, 4, 6)
 
 
 class TestDeltaEstimate:

@@ -198,6 +198,12 @@ class TestAdmiraSolve:
         with pytest.raises(ValueError):
             SolverConfig(rank=1, ls_method="newton")
 
+    def test_rejects_unknown_svd_mode(self):
+        with pytest.raises(ValueError, match="svd_mode"):
+            SolverConfig(rank=1, svd_mode="randomized")
+        for mode in ("auto", "dense", "lanczos"):
+            assert SolverConfig(rank=1, svd_mode=mode).svd_mode == mode
+
 
 class TestRankSearch:
     def test_finds_true_rank_incremental(self):
