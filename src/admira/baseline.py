@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SVD_MODES, FactoredMatrix, truncated_svd
+from .linalg import SVD_MODES, FactoredMatrix, LanczosConvergenceError, truncated_svd
 from .operators import SamplingOperator
 from .solver import SolverReport, _ground_truth_error
 
@@ -100,6 +100,9 @@ def svt_solve(op, b, config=None, ground_truth=None):
         Defaults to :func:`default_config` for the operator dimensions.
     ground_truth : optional dense matrix; enables the error trace.
 
+    A stalled truncated SVD ends the solve with ``stop_reason="svd_stall"``
+    and the best iterate so far.
+
     Raises
     ------
     SvtDivergenceError
@@ -130,8 +133,12 @@ def svt_solve(op, b, config=None, ground_truth=None):
 
     for it in range(1, config.max_iter + 1):
         Y = op.adjoint(y_dual)
-        F = _leading_above(Y, config.tau, rank_hint, config.svd_mode,
-                           seed=it)
+        try:
+            F = _leading_above(Y, config.tau, rank_hint, config.svd_mode,
+                               seed=it)
+        except LanczosConvergenceError:
+            stop_reason = "svd_stall"
+            break
         X = soft_threshold_factored(F, config.tau)
         rank_hint = X.k + 1
         rvec = b - op.apply(X)
@@ -153,7 +160,7 @@ def svt_solve(op, b, config=None, ground_truth=None):
         y_dual = y_dual + config.step * rvec
         solution_residual = res
 
-    if stop_reason == "max_iter":
+    if stop_reason != "tol":
         solution_residual, X, _ = best
     return SolverReport(X, len(residual_trace), np.asarray(residual_trace),
                         np.asarray(error_trace) if track else None,

@@ -105,52 +105,83 @@ def generate_problem(spec):
     return op, b_clean + nu, X0, nu
 
 
-def run_trial(spec, algo="admira", solver_config=None, svt_config=None,
-              trial_index=0):
-    """Generate the instance, solve it, and score it.
-
-    Returns ``(record, report)``.  SVT divergence is captured as a
-    failed record rather than raised, so sweeps keep going.
-    """
-    op, b, X0, _nu = generate_problem(spec)
+def _solve(op, b, algo, solver_config, svt_config, ground_truth=None):
+    """Run one solve and time it.  Returns ``(report, wall)``; SVT
+    divergence gives the report of its best iterate rather than raising."""
     start = time.perf_counter()
     if algo == "admira":
-        cfg = solver_config or SolverConfig(rank=spec.rank, seed=spec.seed)
-        report = admira_solve(op, b, cfg)
+        report = admira_solve(op, b, solver_config, ground_truth=ground_truth)
     elif algo == "svt":
-        if spec.snr_meas_db is not None:
-            raise ValueError("svt supports noiseless measurements only")
-        cfg = svt_config or default_config(spec.m, spec.n, spec.p)
         try:
-            report = svt_solve(op, b, cfg)
+            report = svt_solve(op, b, svt_config or default_config(op.m, op.n, op.p),
+                               ground_truth=ground_truth)
         except SvtDivergenceError as exc:
             report = exc.report
     else:
         raise ValueError(f"unknown algorithm: {algo!r}")
-    wall = time.perf_counter() - start
-    record = TrialRecord(spec.hash(), trial_index, algo,
-                         round(snr_recon(X0, report.solution), 4),
-                         report.iterations, report.stop_reason, round(wall, 4))
-    return record, report
+    return report, time.perf_counter() - start
 
 
-def _trial_star(args):
-    return run_trial(*args)[0]
+def _record(spec_hash, trial_index, algo, X0, report, wall):
+    snr = round(snr_recon(X0, report.solution), 4) if X0 is not None else float("nan")
+    return TrialRecord(spec_hash, trial_index, algo, snr, report.iterations,
+                       report.stop_reason, round(wall, 4))
 
 
-def _map_trials(jobs, workers):
-    if workers and workers > 1:
+def run_trial(spec, algo="admira", solver_config=None, svt_config=None,
+              trial_index=0):
+    """Generate the instance, solve it, and score it.
+
+    Returns ``(record, report)``.  A solve that fails (SVT divergence, a
+    stalled SVD or least-squares solve) is a record with that stop
+    reason rather than an exception, so sweeps keep going.
+    """
+    op, b, X0, _nu = generate_problem(spec)
+    if algo == "svt" and spec.snr_meas_db is not None:
+        raise ValueError("svt supports noiseless measurements only")
+    report, wall = _solve(op, b, algo,
+                          solver_config or SolverConfig(rank=spec.rank, seed=spec.seed),
+                          svt_config)
+    return _record(spec.hash(), trial_index, algo, X0, report, wall), report
+
+
+def _trial_record(job):
+    return run_trial(*job)[0]
+
+
+def _run_cells(cells, workers):
+    """Run the trials of all cells ``(specs, algo, solver_config,
+    svt_config)`` through one pool of at most one process per trial, and
+    return the records cell by cell."""
+    jobs = [(spec, algo, solver_config, svt_config, t)
+            for specs, algo, solver_config, svt_config in cells
+            for t, spec in enumerate(specs)]
+    workers = min(workers, len(jobs))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_trial_star, jobs))
-    return [_trial_star(j) for j in jobs]
+            records = list(pool.map(_trial_record, jobs))
+    else:
+        records = [_trial_record(job) for job in jobs]
+    it = iter(records)
+    return [[next(it) for _ in specs] for specs, *_ in cells]
+
+
+def _mean(records, field):
+    return round(np.mean([getattr(x, field) for x in records]), 2)
 
 
 def _write_csv(path, header, rows):
-    # Append-safe: the header is only written when the file is new/empty.
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a") as fh:
-        if fresh:
-            fh.write(",".join(header) + "\n")
+    """Append rows, writing ``header`` first when the file is new or empty.
+    A file that starts with another header raises ``ValueError`` untouched."""
+    line = ",".join(header)
+    with open(path, "a+") as fh:
+        fh.seek(0)
+        existing = fh.readline().rstrip("\n")
+        if existing and existing != line:
+            raise ValueError(f"{path} has header {existing!r}; "
+                             f"refusing to append rows under {line!r}")
+        if not existing:
+            fh.write(line + "\n")
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
 
@@ -167,27 +198,20 @@ def run_table1(n_list, trials=20, out_csv=None, seed=0, workers=1,
     header = ["n", "p_over_n2", "p_over_dr", "snr_noiseless_db",
               "iters_noiseless", "snr_noisy_db", "iters_noisy",
               "trials", "spec_hash"]
-    rows = []
-    for n in n_list:
-        # the published budget exceeds n^2 below n ~ 100; cap at full
-        # observation so small smoke runs remain valid sampling problems
-        p = min(table1_measurement_count(n, rank), n * n)
-        cells = {}
-        for label, noise in (("noiseless", None), ("noisy", 20.0)):
-            specs = [ProblemSpec(n, n, rank, "sampling", p, noise,
-                                 seed=_trial_seed(seed, n, label, t))
-                     for t in range(trials)]
-            jobs = [(s, "admira", solver_config, None, t)
-                    for t, s in enumerate(specs)]
-            recs = _map_trials(jobs, workers)
-            cells[label] = (np.mean([r.snr_recon_db for r in recs]),
-                            np.mean([r.iterations for r in recs]))
-        base = ProblemSpec(n, n, rank, "sampling", p, None, seed=seed)
-        rows.append([n, round(p / n**2, 4),
-                     round(p / degrees_of_freedom(n, n, rank), 2),
-                     round(cells["noiseless"][0], 2), round(cells["noiseless"][1], 2),
-                     round(cells["noisy"][0], 2), round(cells["noisy"][1], 2),
-                     trials, base.hash()])
+    # the published budget exceeds n^2 below n ~ 100; cap at full
+    # observation so small smoke runs remain valid sampling problems
+    grid = [(n, min(table1_measurement_count(n, rank), n * n)) for n in n_list]
+    cells = [([ProblemSpec(n, n, rank, "sampling", p, noise,
+                           seed=_trial_seed(seed, n, label, t))
+               for t in range(trials)], "admira", solver_config, None)
+             for n, p in grid
+             for label, noise in (("noiseless", None), ("noisy", 20.0))]
+    recs = _run_cells(cells, workers)
+    rows = [[n, round(p / n**2, 4), round(p / degrees_of_freedom(n, n, rank), 2),
+             _mean(quiet, "snr_recon_db"), _mean(quiet, "iterations"),
+             _mean(noisy, "snr_recon_db"), _mean(noisy, "iterations"), trials,
+             ProblemSpec(n, n, rank, "sampling", p, None, seed=seed).hash()]
+            for (n, p), quiet, noisy in zip(grid, recs[::2], recs[1::2])]
     if out_csv:
         _write_csv(out_csv, header, rows)
     return header, rows
@@ -202,25 +226,21 @@ def run_table2(r_list=(2, 5, 10), density_list=(0.05, 0.10, 0.15, 0.20, 0.25, 0.
     divergence) are recorded, not raised."""
     header = ["r", "p_over_n2", "p_over_dr", "admira_snr_db", "svt_snr_db",
               "admira_iters", "svt_iters", "trials", "spec_hash"]
-    rows = []
+    cells = []
     for r in r_list:
+        admira_cfg = dataclasses.replace(solver_config or SolverConfig(rank=r), rank=r)
         for density in density_list:
-            p = int(round(density * n * n))
-            specs = [ProblemSpec(n, n, r, "sampling", p, None,
+            specs = [ProblemSpec(n, n, r, "sampling", int(round(density * n * n)), None,
                                  seed=_trial_seed(seed, n, r, density, t))
                      for t in range(trials)]
-            cfg = solver_config or SolverConfig(rank=r)
-            recs_a = _map_trials([(s, "admira", dataclasses.replace(cfg, rank=r), None, t)
-                                  for t, s in enumerate(specs)], workers)
-            recs_s = _map_trials([(s, "svt", None, svt_config, t)
-                                  for t, s in enumerate(specs)], workers)
-            rows.append([r, round(p / n**2, 4),
-                         round(p / degrees_of_freedom(n, n, r), 2),
-                         round(np.mean([x.snr_recon_db for x in recs_a]), 2),
-                         round(np.mean([x.snr_recon_db for x in recs_s]), 2),
-                         round(np.mean([x.iterations for x in recs_a]), 2),
-                         round(np.mean([x.iterations for x in recs_s]), 2),
-                         trials, specs[0].hash()])
+            cells += [(specs, "admira", admira_cfg, None), (specs, "svt", None, svt_config)]
+    recs = _run_cells(cells, workers)
+    rows = []
+    for (specs, *_), a, s in zip(cells[::2], recs[::2], recs[1::2]):
+        r, p = specs[0].rank, specs[0].p
+        rows.append([r, round(p / n**2, 4), round(p / degrees_of_freedom(n, n, r), 2),
+                     _mean(a, "snr_recon_db"), _mean(s, "snr_recon_db"),
+                     _mean(a, "iterations"), _mean(s, "iterations"), trials, specs[0].hash()])
     if out_csv:
         _write_csv(out_csv, header, rows)
     return header, rows
@@ -235,21 +255,17 @@ def run_phase(p_grid, r_grid, n=100, trials=10, out_csv=None, seed=0,
     trials each algorithm completes to at least 70 dB."""
     header = ["p", "r", "p_over_n2", "p_over_dr", "admira_successes",
               "svt_successes", "trials", "spec_hash"]
-    rows = []
-    for r in r_grid:
-        for p in p_grid:
-            specs = [ProblemSpec(n, n, r, "sampling", int(p), None,
-                                 seed=_trial_seed(seed, n, r, p, t))
-                     for t in range(trials)]
-            recs_a = _map_trials([(s, "admira", SolverConfig(rank=r, seed=s.seed), None, t)
-                                  for t, s in enumerate(specs)], workers)
-            recs_s = _map_trials([(s, "svt", None, None, t)
-                                  for t, s in enumerate(specs)], workers)
-            rows.append([int(p), r, round(p / n**2, 4),
-                         round(p / degrees_of_freedom(n, n, r), 2),
-                         sum(x.snr_recon_db >= SUCCESS_SNR_DB for x in recs_a),
-                         sum(x.snr_recon_db >= SUCCESS_SNR_DB for x in recs_s),
-                         trials, specs[0].hash()])
+    grid = [(p, r, [ProblemSpec(n, n, r, "sampling", int(p), None,
+                                seed=_trial_seed(seed, n, r, p, t))
+                    for t in range(trials)])
+            for r in r_grid for p in p_grid]
+    cells = [(specs, algo, None, None) for _, _, specs in grid for algo in ("admira", "svt")]
+    recs = _run_cells(cells, workers)
+    rows = [[int(p), r, round(p / n**2, 4), round(p / degrees_of_freedom(n, n, r), 2),
+             sum(x.snr_recon_db >= SUCCESS_SNR_DB for x in a),
+             sum(x.snr_recon_db >= SUCCESS_SNR_DB for x in s),
+             trials, specs[0].hash()]
+            for (p, r, specs), a, s in zip(grid, recs[::2], recs[1::2])]
     if out_csv:
         _write_csv(out_csv, header, rows)
     return header, rows
@@ -261,8 +277,7 @@ def _trial_seed(seed, *key):
     return int.from_bytes(hashlib.sha256(payload.encode()).digest()[:6], "big")
 
 
-TRIAL_CSV_HEADER = ["spec_hash", "trial", "algo", "snr_recon_db",
-                    "iterations", "stop_reason", "wall_time"]
+TRIAL_CSV_HEADER = [f.name for f in dataclasses.fields(TrialRecord)]
 
 
 def solve_once(op, b, algo, out_dir, X0=None, solver_config=None,
@@ -277,23 +292,9 @@ def solve_once(op, b, algo, out_dir, X0=None, solver_config=None,
     from . import fileio  # local import keeps bench usable without file output
 
     os.makedirs(out_dir, exist_ok=True)
-    start = time.perf_counter()
-    if algo == "admira":
-        cfg = solver_config or SolverConfig(rank=rank if rank else 1)
-        report = admira_solve(op, b, cfg, ground_truth=X0)
-    elif algo == "svt":
-        cfg = svt_config or default_config(op.m, op.n, op.p)
-        try:
-            report = svt_solve(op, b, cfg, ground_truth=X0)
-        except SvtDivergenceError as exc:
-            report = exc.report
-    else:
-        raise ValueError(f"unknown algorithm: {algo!r}")
-    wall = time.perf_counter() - start
-
-    snr = round(snr_recon(X0, report.solution), 4) if X0 is not None else float("nan")
-    record = TrialRecord(spec_hash, trial_index, algo, snr,
-                         report.iterations, report.stop_reason, round(wall, 4))
+    report, wall = _solve(op, b, algo, solver_config or SolverConfig(rank=rank or 1),
+                          svt_config, ground_truth=X0)
+    record = _record(spec_hash, trial_index, algo, X0, report, wall)
     fileio.write_factored_matrix(os.path.join(out_dir, "solution.txt"),
                                  report.solution)
     payload = {
@@ -305,13 +306,11 @@ def solve_once(op, b, algo, out_dir, X0=None, solver_config=None,
         "residual_trace": report.residual_trace.tolist(),
         "error_trace": (report.error_trace.tolist()
                         if report.error_trace is not None else None),
-        "snr_recon_db": None if X0 is None else snr,
+        "snr_recon_db": None if X0 is None else record.snr_recon_db,
         "wall_time": record.wall_time,
     }
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(payload, fh, indent=2)
     _write_csv(os.path.join(out_dir, "trials.csv"), TRIAL_CSV_HEADER,
-               [[record.spec_hash, record.trial, record.algo,
-                 record.snr_recon_db, record.iterations, record.stop_reason,
-                 record.wall_time]])
+               [dataclasses.astuple(record)])
     return record

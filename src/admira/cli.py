@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import analysis, bench, fileio
-from .baseline import SvtConfig, default_config
+from .baseline import default_config
 from .operators import GaussianOperator, SamplingOperator, estimate_delta_profile
 from .solver import SolverConfig
 
@@ -52,27 +52,18 @@ def _load_json_config(path):
         return json.load(fh)
 
 
-def _solver_config(args, file_cfg, rank):
-    fields = {"rank": rank}
-    for name in ("residual_tol", "max_iter", "ls_method", "ls_tol",
-                 "ls_max_iter", "svd_mode", "seed", "stall_tol"):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            fields[name] = flag
-        elif name in file_cfg:
-            fields[name] = file_cfg[name]
-    return SolverConfig(**fields)
+_SOLVER_FIELDS = ("residual_tol", "max_iter", "ls_method", "ls_tol",
+                 "ls_max_iter", "svd_mode", "seed", "stall_tol")
+_SVT_FIELDS = ("tau", "step", "residual_tol", "max_iter", "svd_mode")
 
 
-def _svt_config(args, file_cfg, m, n, p):
-    fields = {}
-    for name in ("tau", "step", "residual_tol", "max_iter", "svd_mode"):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            fields[name] = flag
-        elif name in file_cfg:
-            fields[name] = file_cfg[name]
-    return default_config(m, n, p, **fields)
+def _config_fields(args, file_cfg, names):
+    """The named config fields from the flags and the config file; a flag
+    given on the command line wins."""
+    fields = {name: file_cfg[name] for name in names if name in file_cfg}
+    fields.update((name, getattr(args, name)) for name in names
+                  if getattr(args, name, None) is not None)
+    return fields
 
 
 def cmd_gen(args):
@@ -120,8 +111,9 @@ def cmd_solve(args):
     if args.algo == "svt" and snr_db is not None:
         raise SystemExit("error: svt supports noiseless measurements only")
 
-    solver_cfg = _solver_config(args, file_cfg, rank)
-    svt_cfg = _svt_config(args, file_cfg, op.m, op.n, op.p) if args.algo == "svt" else None
+    solver_cfg = SolverConfig(rank=rank, **_config_fields(args, file_cfg, _SOLVER_FIELDS))
+    svt_cfg = (default_config(op.m, op.n, op.p, **_config_fields(args, file_cfg, _SVT_FIELDS))
+               if args.algo == "svt" else None)
     record = bench.solve_once(op, b, args.algo, args.out, X0=X0,
                               solver_config=solver_cfg, svt_config=svt_cfg,
                               rank=rank, spec_hash=spec_hash)
@@ -193,6 +185,13 @@ def _print_table(header, rows):
         print(",".join(str(v) for v in row))
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _int_list(text):
     return [int(tok) for tok in text.split(",") if tok]
 
@@ -224,8 +223,7 @@ def build_parser():
     s.add_argument("--config", default=None, help="JSON file with config fields")
     s.add_argument("--residual-tol", type=float, default=None)
     s.add_argument("--max-iter", type=int, default=None)
-    s.add_argument("--ls-method", choices=["auto", "qr", "cg", "richardson"],
-                   default=None)
+    s.add_argument("--ls-method", choices=["auto", "qr", "cg"], default=None)
     s.add_argument("--ls-tol", type=float, default=None)
     s.add_argument("--ls-max-iter", type=int, default=None)
     s.add_argument("--svd-mode", choices=["auto", "dense", "lanczos"], default=None)
@@ -239,7 +237,7 @@ def build_parser():
                     help="comma-separated sizes, e.g. 500,1000")
     t1.add_argument("--trials", type=int, default=20)
     t1.add_argument("--seed", type=int, default=0)
-    t1.add_argument("--workers", type=int, default=1)
+    t1.add_argument("--workers", type=_positive_int, default=1)
     t1.add_argument("--out", default=None, help="CSV path (appends)")
     t1.set_defaults(func=cmd_table1)
 
@@ -250,7 +248,7 @@ def build_parser():
                     default=[0.05, 0.10, 0.15, 0.20, 0.25, 0.30])
     t2.add_argument("--trials", type=int, default=20)
     t2.add_argument("--seed", type=int, default=0)
-    t2.add_argument("--workers", type=int, default=1)
+    t2.add_argument("--workers", type=_positive_int, default=1)
     t2.add_argument("--out", default=None, help="CSV path (appends)")
     t2.set_defaults(func=cmd_table2)
 
@@ -260,7 +258,7 @@ def build_parser():
     ph.add_argument("--r-grid", type=_int_list, required=True)
     ph.add_argument("--trials", type=int, default=10)
     ph.add_argument("--seed", type=int, default=0)
-    ph.add_argument("--workers", type=int, default=1)
+    ph.add_argument("--workers", type=_positive_int, default=1)
     ph.add_argument("--out", default=None, help="CSV path (appends)")
     ph.set_defaults(func=cmd_phase)
 

@@ -5,7 +5,9 @@ directions of that proxy, merge them with the current r directions, fit
 coefficients by least squares on the merged span, and keep the best
 rank-r part of the fit.  Iteration stops when the relative residual
 falls below a tolerance, when its monotone decrease breaks (the previous
-iterate, the best so far, is returned), or at an iteration cap.
+iterate, the best so far, is returned), at an iteration cap, or when
+the truncated SVD or the least-squares solve fails (the best iterate so
+far is returned).
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .linalg import (SVD_MODES, AtomSet, FactoredMatrix, best_rank_r, svd_of_factored,
-                     truncated_svd)
+from .linalg import (SVD_MODES, AtomSet, FactoredMatrix, LanczosConvergenceError,
+                     best_rank_r, svd_of_factored, truncated_svd)
 
 # Above this many stored values the least-squares columns are not formed
 # explicitly and the normal equations are solved matrix-free.
@@ -71,7 +73,7 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.stall_tol < 0:
             raise ValueError("stall_tol must be nonnegative")
-        if self.ls_method not in ("auto", "qr", "cg", "richardson"):
+        if self.ls_method not in ("auto", "qr", "cg"):
             raise ValueError(f"unknown ls_method: {self.ls_method!r}")
         if self.svd_mode not in SVD_MODES:
             raise ValueError(f"unknown svd_mode: {self.svd_mode!r}")
@@ -87,7 +89,9 @@ class SolverReport:
     iterations: int
     residual_trace: np.ndarray
     error_trace: np.ndarray | None
-    stop_reason: str  # "tol" | "monotone_break" | "max_iter"
+    # "tol" | "monotone_break" | "max_iter", or the inner solver that
+    # failed: "svd_stall" (Lanczos) | "ls_stall" (CG); svt adds "divergence"
+    stop_reason: str
     solution_residual: float
 
 
@@ -144,14 +148,22 @@ def admira_solve(op, b, config, ground_truth=None):
     solution_residual = res_prev
 
     for it in range(1, max_iter + 1):
-        proxy = op.adjoint(rvec)
-        selected = truncated_svd(proxy, 2 * r, mode=config.svd_mode,
-                                 seed=_derived_seed(config.seed, it))
-        merged = selected.atoms().merge(atoms_hat)
-        fit = least_squares_on_span(op, b, merged, method=config.ls_method,
-                                    tol=config.ls_tol,
-                                    max_iter=config.ls_max_iter)
-        candidate = best_rank_r(svd_of_factored(fit), r)
+        # An inner solver that fails ends the solve at the best iterate.
+        try:
+            proxy = op.adjoint(rvec)
+            selected = truncated_svd(proxy, 2 * r, mode=config.svd_mode,
+                                     seed=_derived_seed(config.seed, it))
+            merged = selected.atoms().merge(atoms_hat)
+            fit = least_squares_on_span(op, b, merged, method=config.ls_method,
+                                        tol=config.ls_tol,
+                                        max_iter=config.ls_max_iter)
+            candidate = best_rank_r(svd_of_factored(fit), r)
+        except LanczosConvergenceError:
+            stop_reason = "svd_stall"
+            break
+        except LeastSquaresError:
+            stop_reason = "ls_stall"
+            break
         rvec_new = b - op.apply(candidate)
         res = float(np.linalg.norm(rvec_new) / b_norm)
         residual_trace.append(res)
@@ -185,7 +197,7 @@ def least_squares_on_span(op, b, atoms, method="auto", tol=1e-12, max_iter=None)
     :class:`FactoredMatrix`; negative coefficients are folded into the
     left factors.  Linearly dependent atoms are handled by the solver:
     the QR path drops columns below a relative pivot tolerance and the
-    iterative paths converge to the minimum-norm coefficients, so the
+    CG path converges to the minimum-norm coefficients, so the
     fitted measurements are unaffected by duplicates.
     """
     b = op._check_vec(b)
@@ -216,9 +228,6 @@ def least_squares_on_span(op, b, atoms, method="auto", tol=1e-12, max_iter=None)
     elif method == "cg":
         alpha = _solve_cgls(matvec, rmatvec, b, K, tol,
                             max_iter if max_iter else max(200, 10 * K))
-    elif method == "richardson":
-        alpha = _solve_richardson(matvec, rmatvec, b, K, tol,
-                                  max_iter if max_iter else max(5000, 100 * K))
     else:
         raise ValueError(f"unknown least-squares method: {method!r}")
 
@@ -271,32 +280,6 @@ def _solve_cgls(matvec, rmatvec, b, K, tol, max_iter):
     raise LeastSquaresError("cg", max_iter)
 
 
-def _solve_richardson(matvec, rmatvec, b, K, tol, max_iter):
-    # Gradient iteration x += w C^T (b - C x) with w from a power-method
-    # estimate of the largest squared singular value.
-    rng = np.random.default_rng(12345)
-    z = rng.standard_normal(K)
-    z /= np.linalg.norm(z)
-    lam = 1.0
-    for _ in range(60):
-        z = rmatvec(matvec(z))
-        lam = np.linalg.norm(z)
-        if lam == 0.0:
-            return np.zeros(K)
-        z /= lam
-    omega = 1.0 / (1.02 * lam)
-
-    x = np.zeros(K)
-    g0 = rmatvec(b)
-    target = tol * np.linalg.norm(g0)
-    for _ in range(max_iter):
-        g = rmatvec(b - matvec(x))
-        if np.linalg.norm(g) <= target:
-            return x
-        x += omega * g
-    raise LeastSquaresError("richardson", max_iter)
-
-
 @dataclass(frozen=True)
 class RankSearchResult:
     """Outcome of a search over target ranks.  When no rank within the
@@ -308,45 +291,17 @@ class RankSearchResult:
     report: SolverReport
 
 
-def rank_search(op, b, r_max, eta, mode="incremental", config=None):
-    """Smallest target rank whose solve meets ``||b - A X|| <= eta ||b||``.
-
-    ``mode="incremental"`` tries ranks 1, 2, ... in order;
-    ``mode="bisection"`` assumes the achieved residual is monotone
-    nonincreasing in the rank and bisects, which costs O(log r_max)
-    solves.  Both agree when the monotonicity assumption holds.
-    """
+def rank_search(op, b, r_max, eta, config=None):
+    """Smallest target rank whose solve meets ``||b - A X|| <= eta ||b||``,
+    trying ranks 1, 2, ..., ``r_max`` in order."""
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     if config is None:
         config = SolverConfig(rank=1)
-
-    reports = {}
-
-    def run(r):
-        if r not in reports:
-            reports[r] = admira_solve(op, b, replace(config, rank=r))
-        return reports[r]
-
-    def feasible(r):
-        return run(r).solution_residual <= eta
-
-    if mode == "incremental":
-        for r in range(1, r_max + 1):
-            if feasible(r):
-                return RankSearchResult(True, r, reports[r])
-        return RankSearchResult(False, r_max, reports[r_max])
-    if mode == "bisection":
-        if not feasible(r_max):
-            return RankSearchResult(False, r_max, reports[r_max])
-        lo, hi = 1, r_max
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if feasible(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        return RankSearchResult(True, lo, run(lo))
-    raise ValueError(f"unknown search mode: {mode!r}")
+    for r in range(1, r_max + 1):
+        report = admira_solve(op, b, replace(config, rank=r))
+        if report.solution_residual <= eta:
+            return RankSearchResult(True, r, report)
+    return RankSearchResult(False, r_max, report)

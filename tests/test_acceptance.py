@@ -37,6 +37,8 @@ from admira.operators import (
 )
 from admira.solver import SolverConfig, admira_solve, least_squares_on_span
 
+from oracles import normal_equations_lsq
+
 WORKERS = min(2, os.cpu_count() or 1)
 
 
@@ -167,7 +169,8 @@ def test_criterion_5_oracle_equivalences():
         assert np.linalg.norm(rep.solution.densify() - oracle.densify()) \
             <= 1e-8 * np.linalg.norm(M)
 
-    # least-squares methods agree pairwise on fitted measurements, 100x
+    # least-squares methods and the normal-equations oracle agree
+    # pairwise on fitted measurements, 100x
     for i in range(100):
         op = GaussianOperator(12, 10, 150, seed=i)
         K = int(rng.integers(1, 7))
@@ -176,8 +179,10 @@ def test_criterion_5_oracle_equivalences():
         atoms = AtomSet(U / np.linalg.norm(U, axis=0),
                         V / np.linalg.norm(V, axis=0))
         b = rng.standard_normal(150)
+        C = np.column_stack([op.apply_rank_one(atoms.left[:, k], atoms.right[:, k])
+                             for k in range(K)])
         fits = [op.apply(least_squares_on_span(op, b, atoms, method=meth))
-                for meth in ("qr", "cg", "richardson")]
+                for meth in ("qr", "cg")] + [C @ normal_equations_lsq(C, b)]
         for a in fits:
             for c in fits:
                 assert np.max(np.abs(a - c)) <= 1e-8 * np.linalg.norm(b)

@@ -10,7 +10,7 @@ from admira.baseline import (
     svt_solve,
 )
 from admira.bench import ProblemSpec, generate_problem
-from admira.linalg import full_svd
+from admira.linalg import LanczosConvergenceError, full_svd
 from admira.operators import GaussianOperator, SamplingOperator
 from admira.solver import SolverConfig, admira_solve
 
@@ -121,3 +121,29 @@ class TestSvtSolve:
         tail = trace[len(trace) // 2:]
         assert tail[-1] <= tail[0]
         assert report.solution_residual == pytest.approx(trace.min(), rel=1e-12)
+
+    @pytest.mark.parametrize("stall_at", [2, 3])
+    def test_svd_stall_keeps_best_iterate(self, monkeypatch, stall_at):
+        # SVT's first iterate is zero (the dual starts at zero); a stall
+        # at iteration k returns what a solve capped at k - 1 returns
+        import admira.baseline as baseline_mod
+
+        truncated_svd = baseline_mod.truncated_svd
+        seeds = []
+
+        def stalls(M, k, mode="auto", tol=1e-10, seed=0):
+            seeds.append(seed)
+            if len(set(seeds)) == stall_at:
+                raise LanczosConvergenceError(0, k, 3)
+            return truncated_svd(M, k, mode=mode, tol=tol, seed=seed)
+
+        spec = ProblemSpec(40, 40, 2, "sampling", 1000, None, seed=2)
+        op, b, X0, _ = generate_problem(spec)
+        capped = svt_solve(op, b, default_config(40, 40, 1000, max_iter=stall_at - 1))
+        monkeypatch.setattr(baseline_mod, "truncated_svd", stalls)
+        report = svt_solve(op, b)
+        assert report.stop_reason == "svd_stall"
+        assert report.iterations == stall_at - 1
+        np.testing.assert_array_equal(report.residual_trace, capped.residual_trace)
+        assert report.solution_residual == capped.solution_residual
+        np.testing.assert_array_equal(report.solution.densify(), capped.solution.densify())

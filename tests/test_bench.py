@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from admira.analysis import snr_meas
+from admira import bench
 from admira.bench import (
+    TRIAL_CSV_HEADER,
     ProblemSpec,
     degrees_of_freedom,
     generate_problem,
@@ -19,6 +21,7 @@ from admira.bench import (
 from admira import fileio
 from admira.linalg import full_svd
 from admira.operators import GaussianOperator, SamplingOperator
+from admira.solver import SolverConfig
 
 
 class TestProblemSpec:
@@ -149,6 +152,78 @@ class TestSweeps:
         _, a = run_phase([200], [1], n=20, trials=2, seed=5)
         _, b = run_phase([200], [1], n=20, trials=2, seed=5)
         assert a == b
+
+
+class TestSweepRowsPinned:
+    """Exact rows of three tiny sweeps at seed 0; any change to trial
+    seeding, job order or per-cell averaging shows here."""
+
+    def test_table1(self):
+        _, rows = run_table1([24], trials=2, seed=0)
+        assert rows == [[24, 1.0, 6.26, 300.0, 1.0, 28.62, 2.0, 2, "a4b6e740e514"]]
+
+    def test_table2(self):
+        _, rows = run_table2(r_list=[1], density_list=[0.5], n=20, trials=2, seed=0)
+        assert rows == [[1, 0.5, 5.13, 74.78, 73.94, 55.0, 183.5, 2, "c475277a3ab6"]]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_phase(self, workers):
+        # both algorithms' trials of both cells share one pool
+        _, rows = run_phase([150, 300], [1], n=20, trials=3, seed=0, workers=workers)
+        assert rows == [[150, 1, 0.375, 3.85, 0, 0, 3, "56b7e46c2f92"],
+                        [300, 1, 0.75, 7.69, 3, 2, 3, "29cc7315435c"]]
+
+
+class TestSweepRobustness:
+    def test_least_squares_stall_is_a_row(self):
+        # one CG step cannot meet the tolerance: every trial stops with
+        # ls_stall instead of aborting the sweep
+        cfg = SolverConfig(rank=2, ls_method="cg", ls_max_iter=1)
+        header, rows = run_table2(r_list=[2], density_list=[0.5], n=20, trials=2,
+                                  solver_config=cfg)
+        assert len(rows) == 1 and dict(zip(header, rows[0]))["trials"] == 2
+        record, _ = run_trial(ProblemSpec(20, 20, 2, "sampling", 200, None, seed=0),
+                              solver_config=cfg)
+        assert record.stop_reason == "ls_stall"
+
+    @pytest.mark.parametrize("workers, trials, expected", [(64, 1, 2), (2, 3, 2)])
+    def test_pool_capped_at_job_count(self, monkeypatch, workers, trials, expected):
+        # one pool per sweep, never larger than its trial count; the fake
+        # executor runs jobs in this process
+        pools = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", FakeExecutor)
+        _, rows = run_table1([20], trials=trials, seed=0, workers=workers)
+        _, serial = run_table1([20], trials=trials, seed=0, workers=1)
+        assert pools == [expected]
+        assert rows == serial
+
+    def test_csv_refuses_other_header(self, tmp_path):
+        out = tmp_path / "mixed.csv"
+        run_table1([20], trials=1, out_csv=str(out), seed=0)
+        before = out.read_bytes()
+        with pytest.raises(ValueError, match="header") as exc_info:
+            run_phase([200], [1], n=20, trials=1, out_csv=str(out), seed=0)
+        assert "n,p_over_n2" in str(exc_info.value)
+        assert "p,r,p_over_n2" in str(exc_info.value)
+        assert out.read_bytes() == before
+
+    def test_trial_csv_header(self):
+        assert TRIAL_CSV_HEADER == ["spec_hash", "trial", "algo", "snr_recon_db",
+                                    "iterations", "stop_reason", "wall_time"]
 
 
 class TestSolveOnce:

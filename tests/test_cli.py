@@ -65,6 +65,21 @@ class TestGenSolve:
         report = json.loads((sol / "report.json").read_text())
         assert report["iterations"] <= 2
 
+    def test_svt_reads_config_file_and_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_iter": 50, "tau": 1e9}))
+        sol = tmp_path / "sol"
+        rc = run_cli(["solve", "--m", "16", "--n", "16", "--rank", "1",
+                      "--operator", "sampling", "--p", "200", "--seed", "2",
+                      "--algo", "svt", "--config", str(cfg), "--max-iter", "3",
+                      "--out", str(sol)])
+        assert rc == 0
+        report = json.loads((sol / "report.json").read_text())
+        # the flag caps the iterations; the file's huge tau keeps every
+        # iterate at zero, so the relative residual stays 1
+        assert report["iterations"] == 3
+        assert report["residual_trace"] == [1.0, 1.0, 1.0]
+
     def test_svt_rejects_noisy_problem(self, tmp_path):
         prob = tmp_path / "prob"
         run_cli(["gen", "--m", "16", "--n", "16", "--rank", "1",
@@ -73,6 +88,11 @@ class TestGenSolve:
         with pytest.raises(SystemExit):
             run_cli(["solve", "--problem-dir", str(prob), "--algo", "svt",
                      "--out", str(tmp_path / "sol")])
+
+    def test_richardson_is_not_an_ls_method(self, tmp_path):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli(["solve", "--ls-method", "richardson", "--out", str(tmp_path / "x")])
+        assert exc_info.value.code == 2
 
     def test_unknown_algo_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc_info:
@@ -104,6 +124,26 @@ class TestSweepCommands:
                       "--density-list", "0.6", "--trials", "1", "--seed", "0"])
         assert rc == 0
         assert "admira_snr_db" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["table1", "table2", "phase"])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_usage_error(self, command, workers, capsys):
+        extra = ["--p-grid", "200", "--r-grid", "1"] if command == "phase" else []
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli([command, "--workers", workers, *extra])
+        assert exc_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_csv_with_other_header_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "mixed.csv"
+        assert run_cli(["table1", "--n-list", "20", "--trials", "1",
+                        "--seed", "0", "--out", str(out)]) == 0
+        before = out.read_text()
+        rc = run_cli(["phase", "--n", "20", "--p-grid", "200", "--r-grid", "1",
+                      "--trials", "1", "--seed", "0", "--out", str(out)])
+        assert rc == 1
+        assert "header" in capsys.readouterr().err
+        assert out.read_text() == before
 
     def test_ripcheck_json(self, tmp_path):
         out = tmp_path / "rip.json"
