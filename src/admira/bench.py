@@ -170,6 +170,20 @@ def _mean(records, field):
     return round(np.mean([getattr(x, field) for x in records]), 2)
 
 
+def _refuse_other_header(path, existing, line):
+    if existing and existing != line:
+        raise ValueError(f"{path} has header {existing!r}; "
+                         f"refusing to append rows under {line!r}")
+
+
+def _check_csv_header(path, header):
+    """Raise ``ValueError`` when ``path`` starts with another header, so a
+    sweep fails before running its trials rather than after."""
+    if os.path.exists(path):
+        with open(path) as fh:
+            _refuse_other_header(path, fh.readline().rstrip("\n"), ",".join(header))
+
+
 def _write_csv(path, header, rows):
     """Append rows, writing ``header`` first when the file is new or empty.
     A file that starts with another header raises ``ValueError`` untouched."""
@@ -177,9 +191,7 @@ def _write_csv(path, header, rows):
     with open(path, "a+") as fh:
         fh.seek(0)
         existing = fh.readline().rstrip("\n")
-        if existing and existing != line:
-            raise ValueError(f"{path} has header {existing!r}; "
-                             f"refusing to append rows under {line!r}")
+        _refuse_other_header(path, existing, line)
         if not existing:
             fh.write(line + "\n")
         for row in rows:
@@ -206,6 +218,8 @@ def run_table1(n_list, trials=20, out_csv=None, seed=0, workers=1,
                for t in range(trials)], "admira", solver_config, None)
              for n, p in grid
              for label, noise in (("noiseless", None), ("noisy", 20.0))]
+    if out_csv:
+        _check_csv_header(out_csv, header)
     recs = _run_cells(cells, workers)
     rows = [[n, round(p / n**2, 4), round(p / degrees_of_freedom(n, n, rank), 2),
              _mean(quiet, "snr_recon_db"), _mean(quiet, "iterations"),
@@ -234,6 +248,8 @@ def run_table2(r_list=(2, 5, 10), density_list=(0.05, 0.10, 0.15, 0.20, 0.25, 0.
                                  seed=_trial_seed(seed, n, r, density, t))
                      for t in range(trials)]
             cells += [(specs, "admira", admira_cfg, None), (specs, "svt", None, svt_config)]
+    if out_csv:
+        _check_csv_header(out_csv, header)
     recs = _run_cells(cells, workers)
     rows = []
     for (specs, *_), a, s in zip(cells[::2], recs[::2], recs[1::2]):
@@ -260,6 +276,8 @@ def run_phase(p_grid, r_grid, n=100, trials=10, out_csv=None, seed=0,
                     for t in range(trials)])
             for r in r_grid for p in p_grid]
     cells = [(specs, algo, None, None) for _, _, specs in grid for algo in ("admira", "svt")]
+    if out_csv:
+        _check_csv_header(out_csv, header)
     recs = _run_cells(cells, workers)
     rows = [[int(p), r, round(p / n**2, 4), round(p / degrees_of_freedom(n, n, r), 2),
              sum(x.snr_recon_db >= SUCCESS_SNR_DB for x in a),

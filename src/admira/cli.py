@@ -27,8 +27,9 @@ def _spec_from_args(args):
         p = int(round(args.density * args.m * args.n))
     if p is None:
         raise SystemExit("error: provide --p or --density")
+    seed = 0 if args.seed is None else args.seed
     return bench.ProblemSpec(args.m, args.n, args.rank, args.operator, p,
-                             args.snr_meas_db, args.seed)
+                             args.snr_meas_db, seed)
 
 
 def _add_spec_flags(sub, rank_default=2):
@@ -217,7 +218,8 @@ def build_parser():
     s.add_argument("--problem-dir", default=None,
                    help="directory produced by gen (otherwise use spec flags)")
     _add_spec_flags(s)
-    s.set_defaults(rank=None)
+    # None lets a seed in --config apply; an inline spec still uses 0.
+    s.set_defaults(rank=None, seed=None)
     s.add_argument("--algo", choices=["admira", "svt"], default="admira")
     s.add_argument("--out", required=True, help="output directory")
     s.add_argument("--config", default=None, help="JSON file with config fields")

@@ -218,7 +218,14 @@ class SamplingOperator(MeasurementOperator):
         return X[self.rows, self.cols]
 
     def apply_combination(self, left, right, coeffs):
-        return self.atom_columns(left * coeffs, right).sum(axis=1)
+        # Adding the columns in order to zero is several times faster
+        # than sum(axis=1) along the short axis, and gives the same bits
+        # below 8 terms, where numpy's sum also adds in order from zero.
+        columns = self.atom_columns(left * coeffs, right)
+        out = np.zeros(self.p)
+        for k in range(columns.shape[1]):
+            out += columns[:, k]
+        return out
 
     def atom_columns(self, left, right):
         if left.shape[0] != self.m or right.shape[0] != self.n:

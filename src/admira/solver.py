@@ -23,7 +23,12 @@ from .linalg import (SVD_MODES, AtomSet, FactoredMatrix, LanczosConvergenceError
 # Above this many stored values the least-squares columns are not formed
 # explicitly and the normal equations are solved matrix-free.
 LS_DENSE_LIMIT = 10**8
-LS_DROP_TOL = 1e-10
+# Columns whose pivot in R falls below this fraction of the largest
+# column norm get zero weight.  R comes from the Gram matrix, whose
+# rounding floor sits near sqrt(K * eps) ~ 4e-8 relative, so a finer
+# threshold (a Householder QR of the columns resolves 1e-10) cannot be
+# told apart from noise; 1e-7 still drops exactly duplicated atoms.
+LS_DROP_TOL = 1e-7
 # Ground-truth errors use the exact dense difference up to this many
 # entries; beyond it, the factored Gram identity (which loses digits
 # near exact recovery but needs no dense temporary).
@@ -44,8 +49,9 @@ class SolverConfig:
     """Options for :func:`admira_solve`.
 
     ``rank`` is the target rank of the recovered matrix.  ``ls_method``
-    selects the inner least-squares solver ("auto" uses a dense QR when
-    the column matrix fits, matrix-free CG otherwise).  ``svd_mode`` is
+    selects the inner least-squares solver ("auto" uses "qr", pivoted
+    QR's R from the Gram matrix with one refinement step, when the column
+    matrix fits, matrix-free CG otherwise).  ``svd_mode`` is
     passed through to the truncated SVD.  With ``use_iteration_bound``
     the iteration cap is additionally clamped to 6 (rank + 1).
 
@@ -195,10 +201,13 @@ def least_squares_on_span(op, b, atoms, method="auto", tol=1e-12, max_iter=None)
 
     Returns the fitted combination as a (generally non-orthonormal)
     :class:`FactoredMatrix`; negative coefficients are folded into the
-    left factors.  Linearly dependent atoms are handled by the solver:
-    the QR path drops columns below a relative pivot tolerance and the
-    CG path converges to the minimum-norm coefficients, so the
-    fitted measurements are unaffected by duplicates.
+    left factors.  The "qr" method takes pivoted QR's R from the Gram
+    matrix of the measured atoms (a pivoted Cholesky factorization) and
+    refines the fit by one step on its residual; "cg" is matrix-free.
+    Linearly dependent atoms are handled by the solver: the QR path drops
+    columns whose pivot in R falls below ``LS_DROP_TOL`` relative, and the
+    CG path converges to the minimum-norm coefficients, so the fitted
+    measurements are unaffected by duplicates.
     """
     b = op._check_vec(b)
     m, n = op.shape
@@ -239,16 +248,28 @@ def least_squares_on_span(op, b, atoms, method="auto", tol=1e-12, max_iter=None)
 
 
 def _solve_qr(C, b):
-    # Rank-revealing QR; columns whose pivot falls below the drop
-    # tolerance (relative to the largest column norm) get zero weight.
-    Q, R, piv = scipy.linalg.qr(C, mode="economic", pivoting=True)
-    col_scale = np.max(np.linalg.norm(C, axis=0)) if C.size else 0.0
-    diag = np.abs(np.diag(R))
-    rank = int(np.sum(diag > LS_DROP_TOL * col_scale)) if col_scale > 0 else 0
-    alpha = np.zeros(C.shape[1])
-    if rank:
-        z = scipy.linalg.solve_triangular(R[:rank, :rank], (Q.T @ b)[:rank])
-        alpha[piv[:rank]] = z
+    # The R factor and pivot order of C's pivoted QR, computed as the
+    # pivoted Cholesky factor of the K-by-K Gram matrix (equal in exact
+    # arithmetic); Q is never formed.  Pivoting stops at the first
+    # diagonal of R below the drop threshold, and the columns not kept
+    # get zero weight.  One step of refinement on the residual recovers
+    # QR-level accuracy (Bjorck's corrected seminormal equations).
+    K = C.shape[1]
+    alpha = np.zeros(K)
+    G = C.T @ C
+    scale = float(np.max(np.diag(G)))
+    if scale == 0.0:
+        return alpha
+    tol = max(LS_DROP_TOL**2, K * np.finfo(np.float64).eps) * scale
+    R, piv, rank, _ = scipy.linalg.lapack.dpstrf(G, tol=tol)
+    kept = piv[:rank] - 1
+    factor = (R[:rank, :rank], False)
+    alpha[kept] = scipy.linalg.cho_solve(factor, (C.T @ b)[kept],
+                                         check_finite=False)
+    residual = C @ alpha
+    np.subtract(b, residual, out=residual)  # in place: no second p-vector
+    alpha[kept] += scipy.linalg.cho_solve(factor, (C.T @ residual)[kept],
+                                          check_finite=False)
     return alpha
 
 

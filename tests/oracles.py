@@ -1,13 +1,14 @@
 """Independent oracles used to freeze expected values in the tests.
 
 Everything here is deliberately written from first principles, without
-calling into the package under test: a one-sided Jacobi SVD, a
-normal-equations least-squares solver, an alternating power-method
-search for the extreme rank-one measurement gains, and a step-by-step
-partial Fisher-Yates shuffle.
+calling into the package under test: a one-sided Jacobi SVD,
+normal-equations and Householder-QR least-squares solvers, an
+alternating power-method search for the extreme rank-one measurement
+gains, and a step-by-step partial Fisher-Yates shuffle.
 """
 
 import numpy as np
+import scipy.linalg
 
 
 def jacobi_svd(A, tol=1e-14, max_sweeps=60):
@@ -62,6 +63,21 @@ def normal_equations_lsq(C, b):
     """Minimum-norm least squares through the pseudo-inverse of C^T C."""
     G = C.T @ C
     return np.linalg.pinv(G, rcond=1e-12) @ (C.T @ b)
+
+
+def pivoted_qr_lsq(C, b, drop_tol=1e-10):
+    """Least squares by a rank-revealing Householder QR with an explicit
+    Q: columns whose pivot falls below ``drop_tol`` times the largest
+    column norm get zero weight."""
+    Q, R, piv = scipy.linalg.qr(C, mode="economic", pivoting=True)
+    col_scale = np.max(np.linalg.norm(C, axis=0)) if C.size else 0.0
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > drop_tol * col_scale)) if col_scale > 0 else 0
+    alpha = np.zeros(C.shape[1])
+    if rank:
+        z = scipy.linalg.solve_triangular(R[:rank, :rank], (Q.T @ b)[:rank])
+        alpha[piv[:rank]] = z
+    return alpha
 
 
 def rank_one_gain_extremes(apply_rank_one, m, n, restarts=50, iters=200, seed=0):

@@ -221,6 +221,19 @@ class TestSweepRobustness:
         assert "p,r,p_over_n2" in str(exc_info.value)
         assert out.read_bytes() == before
 
+    def test_header_checked_before_any_trial(self, tmp_path, monkeypatch):
+        out = tmp_path / "table1.csv"
+        run_table1([20], trials=1, out_csv=str(out), seed=0)
+        before = out.read_bytes()
+
+        def no_trials(job):
+            raise AssertionError("a trial ran before the header check")
+
+        monkeypatch.setattr(bench, "_trial_record", no_trials)
+        with pytest.raises(ValueError, match="header"):
+            run_phase([200], [1], n=20, trials=1, out_csv=str(out), seed=0)
+        assert out.read_bytes() == before
+
     def test_trial_csv_header(self):
         assert TRIAL_CSV_HEADER == ["spec_hash", "trial", "algo", "snr_recon_db",
                                     "iterations", "stop_reason", "wall_time"]

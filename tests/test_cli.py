@@ -1,10 +1,11 @@
 import json
+import types
 
 import numpy as np
 import pytest
 
 from admira.cli import main
-from admira import fileio
+from admira import bench, fileio
 
 
 def run_cli(args):
@@ -161,3 +162,42 @@ class TestSweepCommands:
         with pytest.raises(SystemExit) as exc_info:
             run_cli([])
         assert exc_info.value.code == 2
+
+
+class TestSolveSeed:
+    """``solve`` takes its seed from --seed, else the config file, else 0."""
+
+    def solve_with(self, monkeypatch, tmp_path, file_cfg, extra):
+        seen = {}
+
+        def fake_solve_once(op, b, algo, out_dir, **kwargs):
+            seen.update(kwargs)
+            return types.SimpleNamespace(snr_recon_db=0.0, iterations=0,
+                                         stop_reason="tol")
+
+        monkeypatch.setattr(bench, "solve_once", fake_solve_once)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_cfg))
+        assert run_cli(["solve", "--m", "10", "--n", "10", "--rank", "1",
+                        "--density", "0.5", "--config", str(cfg),
+                        "--out", str(tmp_path / "sol"), *extra]) == 0
+        return seen
+
+    def test_config_file_seed_is_used(self, monkeypatch, tmp_path):
+        seen = self.solve_with(monkeypatch, tmp_path, {"seed": 5}, [])
+        assert seen["solver_config"].seed == 5
+        # the inline instance is still generated at seed 0
+        assert seen["spec_hash"] == bench.ProblemSpec(10, 10, 1, "sampling", 50,
+                                                      None, seed=0).hash()
+
+    def test_seed_flag_wins_over_config_file(self, monkeypatch, tmp_path):
+        seen = self.solve_with(monkeypatch, tmp_path, {"seed": 5}, ["--seed", "3"])
+        assert seen["solver_config"].seed == 3
+
+    def test_gen_without_seed_keeps_spec_hash(self, tmp_path):
+        out = tmp_path / "prob"
+        assert run_cli(["gen", "--m", "20", "--n", "16", "--rank", "2",
+                        "--operator", "sampling", "--density", "0.6",
+                        "--out", str(out)]) == 0
+        meta = json.loads((out / "problem.json").read_text())
+        assert meta["seed"] == 0 and meta["spec_hash"] == "41ae0c773a58"

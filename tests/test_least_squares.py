@@ -1,0 +1,135 @@
+"""The "qr" least-squares fit (pivoted QR's R from the Gram matrix, one
+refinement step) against a Householder-QR oracle, its drop rule on
+dependent atoms, and agreement of all methods on random spans."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+import admira.solver as solver_mod
+from admira.bench import ProblemSpec, generate_problem
+from admira.linalg import AtomSet
+from admira.operators import GaussianOperator, SamplingOperator
+from admira.solver import SolverConfig, _solve_qr, admira_solve, least_squares_on_span
+
+from oracles import normal_equations_lsq, pivoted_qr_lsq
+
+
+def unit_atoms(rng, m, n, k):
+    U = rng.standard_normal((m, k))
+    V = rng.standard_normal((n, k))
+    return AtomSet(U / np.linalg.norm(U, axis=0), V / np.linalg.norm(V, axis=0))
+
+
+def assert_fits_agree(C, b, alpha, expected):
+    assert np.linalg.norm(C @ alpha - C @ expected) <= 1e-10 * np.linalg.norm(b)
+
+
+class TestAgainstHouseholderOracle:
+    def test_admira_column_matrices(self, monkeypatch):
+        # every column matrix one completion solve fits, including the
+        # nearly dependent merged spans of its last iterations
+        op, b, _, _ = generate_problem(ProblemSpec(120, 120, 2, "sampling", 5000, None,
+                                                   seed=3))
+        spans = []
+
+        def recording(op_, b_, atoms, **kwargs):
+            spans.append(atoms)
+            return least_squares_on_span(op_, b_, atoms, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "least_squares_on_span", recording)
+        report = admira_solve(op, b, SolverConfig(rank=2))
+        assert report.stop_reason == "tol" and len(spans) == report.iterations
+        for atoms in spans:
+            C = op.atom_columns(atoms.left, atoms.right)
+            assert_fits_agree(C, b, _solve_qr(C, b), pivoted_qr_lsq(C, b))
+
+    @pytest.mark.parametrize("p, K", [(500, 1), (500, 6), (2000, 12), (40, 30)])
+    def test_random_gaussian_columns(self, p, K):
+        rng = np.random.default_rng(p + K)
+        for _ in range(5):
+            C = rng.standard_normal((p, K)) * rng.uniform(0.1, 10.0, K)
+            b = rng.standard_normal(p)
+            assert_fits_agree(C, b, _solve_qr(C, b), pivoted_qr_lsq(C, b))
+
+    @pytest.mark.parametrize("cond", [1e2, 1e4, 1e5])
+    def test_ill_conditioned_columns(self, cond):
+        # the Gram matrix squares the condition number; without the
+        # refinement step the fit at cond 1e5 is off by ~1e-8 ||b||
+        rng = np.random.default_rng(7)
+        U, _ = np.linalg.qr(rng.standard_normal((400, 6)))
+        V, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        C = U @ np.diag(np.logspace(0, -np.log10(cond), 6)) @ V.T
+        b = rng.standard_normal(400)
+        assert_fits_agree(C, b, _solve_qr(C, b), pivoted_qr_lsq(C, b))
+
+
+class TestEdgeCases:
+    def test_single_column(self):
+        rng = np.random.default_rng(1)
+        c, b = rng.standard_normal(300), rng.standard_normal(300)
+        alpha = _solve_qr(c[:, None], b)
+        assert alpha[0] == pytest.approx((c @ b) / (c @ c), rel=1e-14)
+
+    def test_unsampled_atoms_give_zero(self):
+        # every sample lies in rows 0..4; atoms living on rows 5..9
+        # measure as zero columns and get zero weight
+        rows, cols = np.divmod(np.arange(50), 10)
+        op = SamplingOperator(10, 10, rows, cols)
+        left = np.zeros((10, 3))
+        left[5:] = np.random.default_rng(2).standard_normal((5, 3))
+        atoms = AtomSet(left / np.linalg.norm(left, axis=0), np.ones((10, 3)) / np.sqrt(10))
+        fit = least_squares_on_span(op, np.ones(50), atoms, method="qr")
+        assert np.all(fit.sigmas == 0.0)
+        assert np.all(_solve_qr(np.zeros((50, 3)), np.ones(50)) == 0.0)
+
+    @pytest.mark.parametrize("perturbation", [0.0, 1e-13])
+    def test_repeated_atom_gets_zero_weight(self, perturbation):
+        rng = np.random.default_rng(3)
+        op = SamplingOperator.random(30, 25, 400, seed=4)
+        atoms = unit_atoms(rng, 30, 25, 4)
+        u = atoms.left[:, 2] + perturbation * rng.standard_normal(30)
+        twin = AtomSet((u / np.linalg.norm(u))[:, None], atoms.right[:, 2:3])
+        dup = atoms.merge(twin)
+        b = rng.standard_normal(400)
+        C = op.atom_columns(atoms.left, atoms.right)
+        C_dup = op.atom_columns(dup.left, dup.right)
+        alpha = _solve_qr(C_dup, b)
+        assert_fits_agree(C_dup, b, alpha, np.append(_solve_qr(C, b), 0.0))
+        assert np.count_nonzero(alpha[[2, 4]]) == 1
+        assert np.count_nonzero(alpha) == 4
+
+    def test_rank_deficient_span(self):
+        # u1 v^T, u2 v^T and (u1 + u2) v^T measure to dependent columns
+        rng = np.random.default_rng(5)
+        op = GaussianOperator(9, 8, 120, seed=6)
+        u1, u2, v = rng.standard_normal(9), rng.standard_normal(9), rng.standard_normal(8)
+        w = rng.standard_normal((9, 2))
+        left = np.column_stack([u1, u2, u1 + u2, w])
+        right = np.column_stack([v, v, v, rng.standard_normal((8, 2))])
+        C = op.atom_columns(left, right)
+        b = rng.standard_normal(120)
+        alpha = _solve_qr(C, b)
+        assert np.count_nonzero(alpha) == 4
+        assert_fits_agree(C, b, alpha, normal_equations_lsq(C, b))
+        assert_fits_agree(C, b, alpha, pivoted_qr_lsq(C, b))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 12), n=st.integers(4, 12),
+       K=st.integers(1, 8), sampling=st.booleans())
+def test_methods_agree_on_well_conditioned_spans(seed, m, n, K, sampling):
+    rng = np.random.default_rng(seed)
+    p = 6 * m * n // 10 if sampling else 3 * m * n
+    op = (SamplingOperator.random(m, n, p, seed=seed) if sampling
+          else GaussianOperator(m, n, p, seed=seed))
+    atoms = unit_atoms(rng, m, n, K)
+    C = op.atom_columns(atoms.left, atoms.right)
+    singular = np.linalg.svd(C, compute_uv=False)
+    assume(singular[-1] > 1e-3 * singular[0])
+    b = rng.standard_normal(p)
+    expected = C @ normal_equations_lsq(C, b)
+    for method in ("qr", "cg"):
+        fit = op.apply(least_squares_on_span(op, b, atoms, method=method))
+        np.testing.assert_allclose(fit, expected, atol=1e-8 * np.linalg.norm(b))

@@ -119,6 +119,34 @@ class TestAtomColumns:
             operator.atom_columns(np.ones((3, 2)), np.ones((7, 2)))
 
 
+class TestSamplingCombination:
+    """Adding the terms in order against numpy's row sum of the columns."""
+
+    def setup_method(self):
+        self.op = SamplingOperator.random(40, 30, 700, seed=8)
+        self.rng = np.random.default_rng(9)
+
+    def terms(self, K):
+        return (self.rng.standard_normal((40, K)), self.rng.standard_normal((30, K)),
+                self.rng.standard_normal(K))
+
+    @pytest.mark.parametrize("K", range(8))
+    def test_bitwise_equal_below_eight_terms(self, K):
+        left, right, coeffs = self.terms(K)
+        expected = self.op.atom_columns(left * coeffs, right).sum(axis=1)
+        got = self.op.apply_combination(left, right, coeffs)
+        assert got.shape == (700,)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("K", [8, 12])
+    def test_rounding_level_from_eight_terms(self, K):
+        # numpy's sum switches to pairwise summation here
+        left, right, coeffs = self.terms(K)
+        expected = self.op.atom_columns(left * coeffs, right).sum(axis=1)
+        np.testing.assert_allclose(self.op.apply_combination(left, right, coeffs),
+                                   expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
+
+
 class TestAdjoint:
     def test_sampling_unit_vector(self):
         op = SamplingOperator(3, 4, [1, 2], [3, 0])
