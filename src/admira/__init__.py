@@ -14,7 +14,7 @@ from .analysis import (
     snr_recon,
     unrecoverable_energy,
 )
-from .baseline import SvtConfig, SvtDivergenceError, soft_threshold_factored, svt_solve
+from .baseline import SvtConfig, soft_threshold_factored, svt_solve
 from .bench import (
     ProblemSpec,
     TrialRecord,
@@ -69,7 +69,6 @@ __all__ = [
     "SolverConfig",
     "SolverReport",
     "SvtConfig",
-    "SvtDivergenceError",
     "TrialRecord",
     "admira_solve",
     "best_rank_r",

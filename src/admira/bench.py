@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .analysis import snr_recon
-from .baseline import SvtDivergenceError, default_config, svt_solve
+from .baseline import default_config, svt_solve
 from .operators import GaussianOperator, SamplingOperator, _rng
 from .solver import SolverConfig, admira_solve
 
@@ -106,17 +106,13 @@ def generate_problem(spec):
 
 
 def _solve(op, b, algo, solver_config, svt_config, ground_truth=None):
-    """Run one solve and time it.  Returns ``(report, wall)``; SVT
-    divergence gives the report of its best iterate rather than raising."""
+    """Run one solve and time it.  Returns ``(report, wall)``."""
     start = time.perf_counter()
     if algo == "admira":
         report = admira_solve(op, b, solver_config, ground_truth=ground_truth)
     elif algo == "svt":
-        try:
-            report = svt_solve(op, b, svt_config or default_config(op.m, op.n, op.p),
-                               ground_truth=ground_truth)
-        except SvtDivergenceError as exc:
-            report = exc.report
+        report = svt_solve(op, b, svt_config or default_config(op.m, op.n, op.p),
+                           ground_truth=ground_truth)
     else:
         raise ValueError(f"unknown algorithm: {algo!r}")
     return report, time.perf_counter() - start

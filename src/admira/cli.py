@@ -54,8 +54,8 @@ def _load_json_config(path):
 
 
 _SOLVER_FIELDS = ("residual_tol", "max_iter", "ls_method", "ls_tol",
-                 "ls_max_iter", "svd_mode", "seed", "stall_tol")
-_SVT_FIELDS = ("tau", "step", "residual_tol", "max_iter", "svd_mode")
+                 "ls_max_iter", "seed", "stall_tol")
+_SVT_FIELDS = ("tau", "step", "residual_tol", "max_iter")
 
 
 def _config_fields(args, file_cfg, names):
@@ -228,7 +228,6 @@ def build_parser():
     s.add_argument("--ls-method", choices=["auto", "qr", "cg"], default=None)
     s.add_argument("--ls-tol", type=float, default=None)
     s.add_argument("--ls-max-iter", type=int, default=None)
-    s.add_argument("--svd-mode", choices=["auto", "dense", "lanczos"], default=None)
     s.add_argument("--stall-tol", type=float, default=None)
     s.add_argument("--tau", type=float, default=None, help="svt threshold")
     s.add_argument("--step", type=float, default=None, help="svt step size")

@@ -265,27 +265,12 @@ def truncated_svd(M, k, mode="auto", tol=1e-10, seed=0):
     if m < n:
         # Orient the recurrence so the right-vector side is the short
         # one: exhausting it then genuinely determines the matrix.
-        s, V, U = _lanczos_svd(_TransposedOperator(A), min(k, m),
-                               tol=tol, seed=seed)
+        s, V, U = _lanczos_svd(A.T, min(k, m), tol=tol, seed=seed)
     else:
         s, U, V = _lanczos_svd(A, min(k, n), tol=tol, seed=seed)
     s, U, V = _drop_small(s, U, V)
     U, V = _fix_signs(U.copy(), V.copy())
     return FactoredMatrix(shape, s, U, V, orthonormal=True)
-
-
-class _TransposedOperator:
-    """Swap matvec/rmatvec of a scipy LinearOperator."""
-
-    def __init__(self, A):
-        self._A = A
-        self.shape = (A.shape[1], A.shape[0])
-
-    def matvec(self, w):
-        return self._A.rmatvec(w)
-
-    def rmatvec(self, w):
-        return self._A.matvec(w)
 
 
 def _reorthogonalize(w, basis, ncols):

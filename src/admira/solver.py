@@ -3,22 +3,29 @@
 One iteration: back-project the residual, take the leading 2r singular
 directions of that proxy, merge them with the current r directions, fit
 coefficients by least squares on the merged span, and keep the best
-rank-r part of the fit.  Iteration stops when the relative residual
-falls below a tolerance, when its monotone decrease breaks (the previous
-iterate, the best so far, is returned), at an iteration cap, or when
-the truncated SVD or the least-squares solve fails (the best iterate so
-far is returned).
+rank-r part of the fit.
+
+This module also holds the iteration driver that ADMiRA and the SVT
+baseline share.  Each algorithm is a generator of iterates; the driver
+measures each iterate's residual, keeps the traces and the best iterate
+(the one with the smallest residual, ties going to the later one), and
+stops on the relative residual tolerance ("tol"), on the algorithm's own
+rule ("monotone_break" for ADMiRA, "divergence" for SVT), at the
+iteration cap ("max_iter"), or when the truncated SVD or the
+least-squares solve fails ("svd_stall", "ls_stall").  No stop raises:
+the report always carries the best iterate.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from .linalg import (SVD_MODES, AtomSet, FactoredMatrix, LanczosConvergenceError,
-                     best_rank_r, svd_of_factored, truncated_svd)
+from .linalg import (AtomSet, FactoredMatrix, LanczosConvergenceError, best_rank_r,
+                     svd_of_factored, truncated_svd)
 
 # Above this many stored values the least-squares columns are not formed
 # explicitly and the normal equations are solved matrix-free.
@@ -29,10 +36,6 @@ LS_DENSE_LIMIT = 10**8
 # threshold (a Householder QR of the columns resolves 1e-10) cannot be
 # told apart from noise; 1e-7 still drops exactly duplicated atoms.
 LS_DROP_TOL = 1e-7
-# Ground-truth errors use the exact dense difference up to this many
-# entries; beyond it, the factored Gram identity (which loses digits
-# near exact recovery but needs no dense temporary).
-ERROR_DENSE_LIMIT = 10**6
 
 
 class LeastSquaresError(RuntimeError):
@@ -51,8 +54,7 @@ class SolverConfig:
     ``rank`` is the target rank of the recovered matrix.  ``ls_method``
     selects the inner least-squares solver ("auto" uses "qr", pivoted
     QR's R from the Gram matrix with one refinement step, when the column
-    matrix fits, matrix-free CG otherwise).  ``svd_mode`` is
-    passed through to the truncated SVD.  With ``use_iteration_bound``
+    matrix fits, matrix-free CG otherwise).  With ``use_iteration_bound``
     the iteration cap is additionally clamped to 6 (rank + 1).
 
     The monotone decrease of the relative residual counts as broken when
@@ -67,7 +69,6 @@ class SolverConfig:
     ls_method: str = "auto"
     ls_tol: float = 1e-12
     ls_max_iter: int | None = None
-    svd_mode: str = "auto"
     seed: int = 0
     use_iteration_bound: bool = False
     stall_tol: float = 1e-3
@@ -81,8 +82,6 @@ class SolverConfig:
             raise ValueError("stall_tol must be nonnegative")
         if self.ls_method not in ("auto", "qr", "cg"):
             raise ValueError(f"unknown ls_method: {self.ls_method!r}")
-        if self.svd_mode not in SVD_MODES:
-            raise ValueError(f"unknown svd_mode: {self.svd_mode!r}")
 
 
 @dataclass
@@ -95,8 +94,9 @@ class SolverReport:
     iterations: int
     residual_trace: np.ndarray
     error_trace: np.ndarray | None
-    # "tol" | "monotone_break" | "max_iter", or the inner solver that
-    # failed: "svd_stall" (Lanczos) | "ls_stall" (CG); svt adds "divergence"
+    # "tol" | "max_iter" | the algorithm's own rule: "monotone_break"
+    # (ADMiRA) or "divergence" (SVT) | the inner solver that failed:
+    # "svd_stall" (Lanczos) or "ls_stall" (CG)
     stop_reason: str
     solution_residual: float
 
@@ -105,18 +105,61 @@ def _derived_seed(seed, salt):
     return int(np.random.SeedSequence((seed, salt)).generate_state(1)[0])
 
 
-def _ground_truth_error(X0, F):
-    # Exact dense difference at desk scale; Gram identity above it (the
-    # identity loses digits near exact recovery, the difference does not).
-    if X0.size <= ERROR_DENSE_LIMIT:
-        return float(np.linalg.norm(X0 - F.densify()))
-    cross = float(np.sum(F.sigmas * np.einsum("mk,mn,nk->k", F.left, X0, F.right)))
-    sq = np.linalg.norm(X0) ** 2 - 2.0 * cross + F.norm() ** 2
-    return float(np.sqrt(max(sq, 0.0)))
+def _run_iterations(op, b, iterates, max_iter, residual_tol, stop_rule,
+                    ground_truth=None):
+    """The one iteration loop.  ``iterates(b)`` is a generator that
+    yields an iterate and is sent back its residual vector ``b - A X``;
+    ``stop_rule(residual_trace)`` returns a stop reason or None.  The
+    best iterate starts as the zero matrix at relative residual 1."""
+    b = op._check_vec(b)
+    track = ground_truth is not None
+    if track:
+        ground_truth = np.asarray(ground_truth, dtype=np.float64)
+    best = FactoredMatrix.zero(*op.shape)
+
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0.0:
+        return SolverReport(best, 0, np.zeros(0), np.zeros(0) if track else None,
+                            "tol", 0.0)
+
+    steps = iterates(b)
+    rvec = None
+    best_residual = 1.0
+    residual_trace, error_trace = [], []
+    for _ in range(max_iter):
+        # An inner solver that fails ends the solve at the best iterate.
+        try:
+            X = steps.send(rvec)
+        except LanczosConvergenceError:
+            stop_reason = "svd_stall"
+            break
+        except LeastSquaresError:
+            stop_reason = "ls_stall"
+            break
+        rvec = b - op.apply(X)
+        res = float(np.linalg.norm(rvec) / b_norm)
+        residual_trace.append(res)
+        if track:
+            error_trace.append(float(np.linalg.norm(ground_truth - X.densify())))
+        if res <= best_residual:
+            best, best_residual = X, res
+        stop_reason = "tol" if res < residual_tol else stop_rule(residual_trace)
+        if stop_reason:
+            break
+    else:
+        stop_reason = "max_iter"
+
+    return SolverReport(best, len(residual_trace), np.asarray(residual_trace),
+                        np.asarray(error_trace) if track else None,
+                        stop_reason, best_residual)
 
 
 def admira_solve(op, b, config, ground_truth=None):
     """Recover a rank-``config.rank`` matrix from measurements ``b``.
+
+    Stops at ``config.residual_tol``, when the monotone decrease of the
+    residual breaks (see :class:`SolverConfig`), at the iteration cap or
+    on a stalled inner solver; the report holds the best iterate.
 
     Parameters
     ----------
@@ -129,71 +172,34 @@ def admira_solve(op, b, config, ground_truth=None):
     -------
     SolverReport
     """
-    b = op._check_vec(b)
-    m, n = op.shape
-    r = config.rank
-    track = ground_truth is not None
-    if track:
-        ground_truth = np.asarray(ground_truth, dtype=np.float64)
-
-    b_norm = np.linalg.norm(b)
-    if b_norm == 0.0:
-        return SolverReport(FactoredMatrix.zero(m, n), 0, np.zeros(0),
-                            np.zeros(0) if track else None, "tol", 0.0)
-
     max_iter = config.max_iter
     if config.use_iteration_bound:
-        max_iter = min(max_iter, 6 * (r + 1))
+        max_iter = min(max_iter, 6 * (config.rank + 1))
 
-    X = FactoredMatrix.zero(m, n)
-    atoms_hat = AtomSet.empty(m, n)
+    def monotone_break(trace):
+        # Strict increase, or no material improvement on the previous
+        # iterate (the zero matrix, at residual 1, before the first).
+        previous = trace[-2] if len(trace) > 1 else 1.0
+        return "monotone_break" if trace[-1] > previous * (1.0 - config.stall_tol) else None
+
+    return _run_iterations(op, b, lambda b: _admira_iterates(op, b, config),
+                           max_iter, config.residual_tol, monotone_break,
+                           ground_truth)
+
+
+def _admira_iterates(op, b, config):
+    r = config.rank
+    atoms_hat = AtomSet.empty(*op.shape)
     rvec = b
-    res_prev = 1.0
-    residual_trace, error_trace = [], []
-    stop_reason = "max_iter"
-    solution_residual = res_prev
-
-    for it in range(1, max_iter + 1):
-        # An inner solver that fails ends the solve at the best iterate.
-        try:
-            proxy = op.adjoint(rvec)
-            selected = truncated_svd(proxy, 2 * r, mode=config.svd_mode,
-                                     seed=_derived_seed(config.seed, it))
-            merged = selected.atoms().merge(atoms_hat)
-            fit = least_squares_on_span(op, b, merged, method=config.ls_method,
-                                        tol=config.ls_tol,
-                                        max_iter=config.ls_max_iter)
-            candidate = best_rank_r(svd_of_factored(fit), r)
-        except LanczosConvergenceError:
-            stop_reason = "svd_stall"
-            break
-        except LeastSquaresError:
-            stop_reason = "ls_stall"
-            break
-        rvec_new = b - op.apply(candidate)
-        res = float(np.linalg.norm(rvec_new) / b_norm)
-        residual_trace.append(res)
-        if track:
-            error_trace.append(_ground_truth_error(ground_truth, candidate))
-
-        if res < config.residual_tol:
-            X, solution_residual = candidate, res
-            stop_reason = "tol"
-            break
-        if res > res_prev * (1.0 - config.stall_tol):
-            # Monotone decrease broken (strict increase, or no material
-            # improvement): keep whichever iterate is best.
-            stop_reason = "monotone_break"
-            if res <= res_prev:
-                X, solution_residual = candidate, res
-            break
-        X, atoms_hat, rvec = candidate, candidate.atoms(), rvec_new
-        res_prev = res
-        solution_residual = res
-
-    return SolverReport(X, len(residual_trace), np.asarray(residual_trace),
-                        np.asarray(error_trace) if track else None,
-                        stop_reason, solution_residual)
+    for it in itertools.count(1):
+        proxy = op.adjoint(rvec)
+        selected = truncated_svd(proxy, 2 * r, seed=_derived_seed(config.seed, it))
+        merged = selected.atoms().merge(atoms_hat)
+        fit = least_squares_on_span(op, b, merged, method=config.ls_method,
+                                    tol=config.ls_tol, max_iter=config.ls_max_iter)
+        candidate = best_rank_r(svd_of_factored(fit), r)
+        rvec = yield candidate
+        atoms_hat = candidate.atoms()
 
 
 def least_squares_on_span(op, b, atoms, method="auto", tol=1e-12, max_iter=None):

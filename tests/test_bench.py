@@ -19,6 +19,7 @@ from admira.bench import (
     table1_measurement_count,
 )
 from admira import fileio
+from admira.baseline import SvtConfig
 from admira.linalg import full_svd
 from admira.operators import GaussianOperator, SamplingOperator
 from admira.solver import SolverConfig
@@ -185,6 +186,13 @@ class TestSweepRobustness:
         record, _ = run_trial(ProblemSpec(20, 20, 2, "sampling", 200, None, seed=0),
                               solver_config=cfg)
         assert record.stop_reason == "ls_stall"
+
+    def test_svt_divergence_is_a_row(self):
+        # an oversized dual step makes SVT diverge; the trial records it
+        record, report = run_trial(ProblemSpec(30, 30, 2, "sampling", 450, None, seed=1),
+                                   "svt", svt_config=SvtConfig(tau=1.0, step=5e3))
+        assert record.stop_reason == report.stop_reason == "divergence"
+        assert record.iterations == report.iterations >= 1
 
     @pytest.mark.parametrize("workers, trials, expected", [(64, 1, 2), (2, 3, 2)])
     def test_pool_capped_at_job_count(self, monkeypatch, workers, trials, expected):

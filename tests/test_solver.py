@@ -109,19 +109,6 @@ class TestLeastSquares:
         free_fit = op.apply(least_squares_on_span(op, b, atoms, method="cg"))
         np.testing.assert_allclose(free_fit, dense_fit, atol=1e-8)
 
-    def test_ground_truth_error_gram_identity(self, monkeypatch):
-        import admira.solver as solver_mod
-        from admira.solver import _ground_truth_error
-        from admira.linalg import full_svd, best_rank_r
-
-        rng = np.random.default_rng(7)
-        X0 = rng.standard_normal((20, 15))
-        F = best_rank_r(full_svd(X0), 3)
-        exact = _ground_truth_error(X0, F)
-        monkeypatch.setattr(solver_mod, "ERROR_DENSE_LIMIT", 1)
-        via_gram = _ground_truth_error(X0, F)
-        assert via_gram == pytest.approx(exact, rel=1e-8)
-
 
 class TestAdmiraSolve:
     def test_zero_measurements(self):
@@ -200,12 +187,6 @@ class TestAdmiraSolve:
             SolverConfig(rank=1, ls_method="newton")
         with pytest.raises(ValueError, match="ls_method"):
             SolverConfig(rank=1, ls_method="richardson")
-
-    def test_rejects_unknown_svd_mode(self):
-        with pytest.raises(ValueError, match="svd_mode"):
-            SolverConfig(rank=1, svd_mode="randomized")
-        for mode in ("auto", "dense", "lanczos"):
-            assert SolverConfig(rank=1, svd_mode=mode).svd_mode == mode
 
 
 class TestInnerSolverFailures:
