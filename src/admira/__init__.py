@@ -44,7 +44,6 @@ from .operators import (
     estimate_delta_profile,
 )
 from .solver import (
-    LeastSquaresError,
     RankSearchResult,
     SolverConfig,
     SolverReport,
@@ -60,7 +59,6 @@ __all__ = [
     "FactoredMatrix",
     "GaussianOperator",
     "LanczosConvergenceError",
-    "LeastSquaresError",
     "MeasurementOperator",
     "ProblemSpec",
     "RankSearchResult",

@@ -53,8 +53,7 @@ def _load_json_config(path):
         return json.load(fh)
 
 
-_SOLVER_FIELDS = ("residual_tol", "max_iter", "ls_method", "ls_tol",
-                 "ls_max_iter", "seed", "stall_tol")
+_SOLVER_FIELDS = ("residual_tol", "max_iter", "seed", "stall_tol")
 _SVT_FIELDS = ("tau", "step", "residual_tol", "max_iter")
 
 
@@ -225,9 +224,6 @@ def build_parser():
     s.add_argument("--config", default=None, help="JSON file with config fields")
     s.add_argument("--residual-tol", type=float, default=None)
     s.add_argument("--max-iter", type=int, default=None)
-    s.add_argument("--ls-method", choices=["auto", "qr", "cg"], default=None)
-    s.add_argument("--ls-tol", type=float, default=None)
-    s.add_argument("--ls-max-iter", type=int, default=None)
     s.add_argument("--stall-tol", type=float, default=None)
     s.add_argument("--tau", type=float, default=None, help="svt threshold")
     s.add_argument("--step", type=float, default=None, help="svt step size")

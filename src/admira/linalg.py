@@ -131,19 +131,6 @@ class FactoredMatrix:
             return np.zeros((m, n))
         return (self.left * self.sigmas) @ self.right.T
 
-    def norm(self):
-        """Frobenius norm, computed from the factors.
-
-        For orthonormal triplets this is ``sqrt(sum sigmas**2)``; in
-        general it uses the k-by-k Gram matrices, costing O((m+n) k^2).
-        """
-        if self.k == 0:
-            return 0.0
-        if self.orthonormal:
-            return float(np.sqrt(np.sum(self.sigmas**2)))
-        G = (self.left.T @ self.left) * (self.right.T @ self.right)
-        return float(np.sqrt(max(0.0, self.sigmas @ G @ self.sigmas)))
-
     def atoms(self):
         """The rank-one directions as an :class:`AtomSet` (weights dropped)."""
         return AtomSet(self.left, self.right)

@@ -21,6 +21,9 @@ from .linalg import FactoredMatrix, check_dense
 # Gaussian operators whose frames would take more memory than this are
 # refused before anything is allocated.
 GAUSSIAN_FRAME_LIMIT_BYTES = 2**31
+# Rows of atom measurements gathered per block by the least-squares fit
+# and by entry sampling's apply_combination: cache-sized, never p-by-K.
+BLOCK_ROWS = 8192
 
 
 def _rng(*key):
@@ -64,9 +67,10 @@ class MeasurementOperator(abc.ABC):
         """
 
     @abc.abstractmethod
-    def atom_columns(self, left, right):
+    def atom_columns(self, left, right, rows=slice(None), out=None):
         """Measurements of every atom ``left[:,k] right[:,k]^T`` at once,
-        as the columns of a p-by-K array."""
+        as the columns of a p-by-K array; with a slice ``rows``, only
+        those measurements.  ``out``, if given, is filled and returned."""
 
     @abc.abstractmethod
     def _apply_explicit(self, X):
@@ -128,9 +132,10 @@ class GaussianOperator(MeasurementOperator):
         # always smaller than the p*m*n frames it is contracted with.
         return self.frames @ ((left * coeffs) @ right.T).ravel()
 
-    def atom_columns(self, left, right):
+    def atom_columns(self, left, right, rows=slice(None), out=None):
         atoms = left[:, None, :] * right[None, :, :]
-        return self.frames @ atoms.reshape(self.m * self.n, left.shape[1])
+        return np.matmul(self.frames[rows], atoms.reshape(self.m * self.n, left.shape[1]),
+                         out=out)
 
     def adjoint(self, y):
         y = self._check_vec(y)
@@ -221,18 +226,26 @@ class SamplingOperator(MeasurementOperator):
         # Adding the columns in order to zero is several times faster
         # than sum(axis=1) along the short axis, and gives the same bits
         # below 8 terms, where numpy's sum also adds in order from zero.
-        columns = self.atom_columns(left * coeffs, right)
+        # Each entry's sum is the same whatever the block size.
+        scaled = left * coeffs
         out = np.zeros(self.p)
-        for k in range(columns.shape[1]):
-            out += columns[:, k]
+        buffer = np.empty((min(BLOCK_ROWS, self.p), left.shape[1]))
+        for start in range(0, self.p, BLOCK_ROWS):
+            rows = slice(start, min(start + BLOCK_ROWS, self.p))
+            columns = self.atom_columns(scaled, right, rows, buffer[:rows.stop - start])
+            block = out[rows]
+            for k in range(columns.shape[1]):
+                block += columns[:, k]
         return out
 
-    def atom_columns(self, left, right):
+    def atom_columns(self, left, right, rows=slice(None), out=None):
         if left.shape[0] != self.m or right.shape[0] != self.n:
             raise ValueError("operator/matrix shape mismatch")
-        # np.take gathers rows several times faster than fancy indexing
-        columns = np.take(left, self.rows, axis=0)
-        columns *= np.take(right, self.cols, axis=0)
+        # np.take gathers rows several times faster than fancy indexing;
+        # "clip" skips the temporary that mode="raise" copies into ``out``
+        # (the indices were checked at construction, so nothing clips).
+        columns = np.take(left, self.rows[rows], axis=0, out=out, mode="clip")
+        columns *= np.take(right, self.cols[rows], axis=0)
         return columns
 
     def adjoint(self, y):

@@ -2,8 +2,9 @@
 
 One iteration: back-project the residual, take the leading 2r singular
 directions of that proxy, merge them with the current r directions, fit
-coefficients by least squares on the merged span, and keep the best
-rank-r part of the fit.
+coefficients by least squares on the merged span (a direct solve of the
+Gram matrix, summed over row blocks), and keep the best rank-r part of
+the fit.
 
 This module also holds the iteration driver that ADMiRA and the SVT
 baseline share.  Each algorithm is a generator of iterates; the driver
@@ -11,25 +12,24 @@ measures each iterate's residual, keeps the traces and the best iterate
 (the one with the smallest residual, ties going to the later one), and
 stops on the relative residual tolerance ("tol"), on the algorithm's own
 rule ("monotone_break" for ADMiRA, "divergence" for SVT), at the
-iteration cap ("max_iter"), or when the truncated SVD or the
-least-squares solve fails ("svd_stall", "ls_stall").  No stop raises:
-the report always carries the best iterate.
+iteration cap ("max_iter"), or when the truncated SVD fails to
+converge ("svd_stall").  No stop raises: the report always carries the
+best iterate.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.linalg
 
+from . import operators
 from .linalg import (AtomSet, FactoredMatrix, LanczosConvergenceError, best_rank_r,
                      svd_of_factored, truncated_svd)
 
-# Above this many stored values the least-squares columns are not formed
-# explicitly and the normal equations are solved matrix-free.
-LS_DENSE_LIMIT = 10**8
 # Columns whose pivot in R falls below this fraction of the largest
 # column norm get zero weight.  R comes from the Gram matrix, whose
 # rounding floor sits near sqrt(K * eps) ~ 4e-8 relative, so a finer
@@ -39,23 +39,17 @@ LS_DROP_TOL = 1e-7
 
 
 class LeastSquaresError(RuntimeError):
-    """Iterative least-squares solver failed to reach its tolerance."""
-
-    def __init__(self, method, iterations):
-        self.method = method
-        self.iterations = iterations
-        super().__init__(f"{method} did not converge in {iterations} iterations")
+    """The reference CG least-squares solve failed to reach its tolerance."""
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Options for :func:`admira_solve`.
 
-    ``rank`` is the target rank of the recovered matrix.  ``ls_method``
-    selects the inner least-squares solver ("auto" uses "qr", pivoted
-    QR's R from the Gram matrix with one refinement step, when the column
-    matrix fits, matrix-free CG otherwise).  With ``use_iteration_bound``
-    the iteration cap is additionally clamped to 6 (rank + 1).
+    ``rank`` is the target rank of the recovered matrix and ``max_iter``
+    (at least 1) caps the iterations.  Each iteration's least-squares
+    fit is the blocked Gram solve of :func:`least_squares_on_span`; it has
+    no options.
 
     The monotone decrease of the relative residual counts as broken when
     an iteration improves it by less than ``stall_tol`` relative (noisy
@@ -66,22 +60,18 @@ class SolverConfig:
     rank: int
     residual_tol: float = 1e-4
     max_iter: int = 500
-    ls_method: str = "auto"
-    ls_tol: float = 1e-12
-    ls_max_iter: int | None = None
     seed: int = 0
-    use_iteration_bound: bool = False
     stall_tol: float = 1e-3
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
-        if self.residual_tol <= 0 or self.ls_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.residual_tol <= 0:
+            raise ValueError("residual_tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         if self.stall_tol < 0:
             raise ValueError("stall_tol must be nonnegative")
-        if self.ls_method not in ("auto", "qr", "cg"):
-            raise ValueError(f"unknown ls_method: {self.ls_method!r}")
 
 
 @dataclass
@@ -95,8 +85,8 @@ class SolverReport:
     residual_trace: np.ndarray
     error_trace: np.ndarray | None
     # "tol" | "max_iter" | the algorithm's own rule: "monotone_break"
-    # (ADMiRA) or "divergence" (SVT) | the inner solver that failed:
-    # "svd_stall" (Lanczos) or "ls_stall" (CG)
+    # (ADMiRA) or "divergence" (SVT) | "svd_stall" (a Lanczos SVD did
+    # not converge)
     stop_reason: str
     solution_residual: float
 
@@ -127,14 +117,11 @@ def _run_iterations(op, b, iterates, max_iter, residual_tol, stop_rule,
     best_residual = 1.0
     residual_trace, error_trace = [], []
     for _ in range(max_iter):
-        # An inner solver that fails ends the solve at the best iterate.
+        # A truncated SVD that fails ends the solve at the best iterate.
         try:
             X = steps.send(rvec)
         except LanczosConvergenceError:
             stop_reason = "svd_stall"
-            break
-        except LeastSquaresError:
-            stop_reason = "ls_stall"
             break
         rvec = b - op.apply(X)
         res = float(np.linalg.norm(rvec) / b_norm)
@@ -159,7 +146,7 @@ def admira_solve(op, b, config, ground_truth=None):
 
     Stops at ``config.residual_tol``, when the monotone decrease of the
     residual breaks (see :class:`SolverConfig`), at the iteration cap or
-    on a stalled inner solver; the report holds the best iterate.
+    on a stalled truncated SVD; the report holds the best iterate.
 
     Parameters
     ----------
@@ -172,10 +159,6 @@ def admira_solve(op, b, config, ground_truth=None):
     -------
     SolverReport
     """
-    max_iter = config.max_iter
-    if config.use_iteration_bound:
-        max_iter = min(max_iter, 6 * (config.rank + 1))
-
     def monotone_break(trace):
         # Strict increase, or no material improvement on the previous
         # iterate (the zero matrix, at residual 1, before the first).
@@ -183,7 +166,7 @@ def admira_solve(op, b, config, ground_truth=None):
         return "monotone_break" if trace[-1] > previous * (1.0 - config.stall_tol) else None
 
     return _run_iterations(op, b, lambda b: _admira_iterates(op, b, config),
-                           max_iter, config.residual_tol, monotone_break,
+                           config.max_iter, config.residual_tol, monotone_break,
                            ground_truth)
 
 
@@ -195,25 +178,28 @@ def _admira_iterates(op, b, config):
         proxy = op.adjoint(rvec)
         selected = truncated_svd(proxy, 2 * r, seed=_derived_seed(config.seed, it))
         merged = selected.atoms().merge(atoms_hat)
-        fit = least_squares_on_span(op, b, merged, method=config.ls_method,
-                                    tol=config.ls_tol, max_iter=config.ls_max_iter)
+        fit = least_squares_on_span(op, b, merged)
         candidate = best_rank_r(svd_of_factored(fit), r)
         rvec = yield candidate
         atoms_hat = candidate.atoms()
 
 
-def least_squares_on_span(op, b, atoms, method="auto", tol=1e-12, max_iter=None):
+def least_squares_on_span(op, b, atoms, method="qr"):
     """Minimize ``||b - A X||`` over matrices spanned by the given atoms.
 
     Returns the fitted combination as a (generally non-orthonormal)
     :class:`FactoredMatrix`; negative coefficients are folded into the
-    left factors.  The "qr" method takes pivoted QR's R from the Gram
-    matrix of the measured atoms (a pivoted Cholesky factorization) and
-    refines the fit by one step on its residual; "cg" is matrix-free.
-    Linearly dependent atoms are handled by the solver: the QR path drops
-    columns whose pivot in R falls below ``LS_DROP_TOL`` relative, and the
-    CG path converges to the minimum-norm coefficients, so the fitted
-    measurements are unaffected by duplicates.
+    left factors.  The fit takes pivoted QR's R from the Gram matrix of
+    the measured atoms (a pivoted Cholesky factorization) and refines it
+    by one step on its residual.  The Gram matrix and both right-hand
+    sides are summed over blocks of ``operators.BLOCK_ROWS`` measurements,
+    so the p-by-K column matrix is never formed.  Columns whose pivot in
+    R falls below ``LS_DROP_TOL`` relative get zero weight, so the fitted
+    measurements are unaffected by duplicated atoms.
+
+    ``method="cg"`` is a reference for tests only: CG on the normal
+    equations of the explicit column matrix, which converges to the
+    minimum-norm coefficients or raises :class:`LeastSquaresError`.
     """
     b = op._check_vec(b)
     m, n = op.shape
@@ -221,28 +207,10 @@ def least_squares_on_span(op, b, atoms, method="auto", tol=1e-12, max_iter=None)
     if K == 0:
         return FactoredMatrix.zero(m, n)
 
-    dense_ok = op.p * K <= LS_DENSE_LIMIT
-    if method == "auto":
-        method = "qr" if dense_ok else "cg"
-
-    if method == "qr" or dense_ok:
-        C = op.atom_columns(atoms.left, atoms.right)
-        matvec = lambda a: C @ a
-        rmatvec = lambda y: C.T @ y
-    else:
-        C = None
-
-        def matvec(a):
-            return op.apply_combination(atoms.left, atoms.right, a)
-
-        def rmatvec(y):
-            return np.sum(atoms.left * (op.adjoint(y) @ atoms.right), axis=0)
-
     if method == "qr":
-        alpha = _solve_qr(C, b)
+        alpha = _solve_qr(partial(op.atom_columns, atoms.left, atoms.right), b, K)
     elif method == "cg":
-        alpha = _solve_cgls(matvec, rmatvec, b, K, tol,
-                            max_iter if max_iter else max(200, 10 * K))
+        alpha = _solve_cgls(op.atom_columns(atoms.left, atoms.right), b)
     else:
         raise ValueError(f"unknown least-squares method: {method!r}")
 
@@ -253,16 +221,26 @@ def least_squares_on_span(op, b, atoms, method="auto", tol=1e-12, max_iter=None)
                           atoms.right[:, order], orthonormal=False)
 
 
-def _solve_qr(C, b):
+def _solve_qr(columns, b, K):
     # The R factor and pivot order of C's pivoted QR, computed as the
     # pivoted Cholesky factor of the K-by-K Gram matrix (equal in exact
     # arithmetic); Q is never formed.  Pivoting stops at the first
     # diagonal of R below the drop threshold, and the columns not kept
     # get zero weight.  One step of refinement on the residual recovers
     # QR-level accuracy (Bjorck's corrected seminormal equations).
-    K = C.shape[1]
+    # ``columns(rows, out)`` returns the block C[rows] of the p-by-K
+    # column matrix, filling ``out`` where it can.
+    p = b.size
+    blocks = [slice(start, min(start + operators.BLOCK_ROWS, p))
+              for start in range(0, p, operators.BLOCK_ROWS)]
+    buffer = np.empty((min(operators.BLOCK_ROWS, p), K))
+    G = np.zeros((K, K))
+    Ctb = np.zeros(K)
+    for rows in blocks:
+        C = columns(rows, buffer[:rows.stop - rows.start])
+        G += C.T @ C
+        Ctb += C.T @ b[rows]
     alpha = np.zeros(K)
-    G = C.T @ C
     scale = float(np.max(np.diag(G)))
     if scale == 0.0:
         return alpha
@@ -270,41 +248,44 @@ def _solve_qr(C, b):
     R, piv, rank, _ = scipy.linalg.lapack.dpstrf(G, tol=tol)
     kept = piv[:rank] - 1
     factor = (R[:rank, :rank], False)
-    alpha[kept] = scipy.linalg.cho_solve(factor, (C.T @ b)[kept],
-                                         check_finite=False)
-    residual = C @ alpha
-    np.subtract(b, residual, out=residual)  # in place: no second p-vector
-    alpha[kept] += scipy.linalg.cho_solve(factor, (C.T @ residual)[kept],
-                                          check_finite=False)
+    alpha[kept] = scipy.linalg.cho_solve(factor, Ctb[kept], check_finite=False)
+    Ctr = np.zeros(K)
+    for rows in reversed(blocks):
+        if rows is not blocks[-1]:  # the last block is still in the buffer
+            C = columns(rows, buffer[:rows.stop - rows.start])
+        residual = C @ alpha
+        np.subtract(b[rows], residual, out=residual)
+        Ctr += C.T @ residual
+    alpha[kept] += scipy.linalg.cho_solve(factor, Ctr[kept], check_finite=False)
     return alpha
 
 
-def _solve_cgls(matvec, rmatvec, b, K, tol, max_iter):
-    # CG on the normal equations, matrix-free; starting from zero keeps
-    # the iterates in the row space, hence minimum-norm at convergence.
+def _solve_cgls(C, b):
+    # CG on the normal equations; starting from zero keeps the iterates
+    # in the row space, hence minimum-norm at convergence.
+    K = C.shape[1]
+    max_iter = max(200, 10 * K)
     x = np.zeros(K)
     r = b.copy()
-    s = rmatvec(r)
-    target = tol * np.linalg.norm(s)
-    if np.linalg.norm(s) <= target or np.linalg.norm(s) == 0.0:
-        return x
+    s = C.T @ r
+    target = 1e-12 * np.linalg.norm(s)
     p = s.copy()
     gamma = float(s @ s)
     for _ in range(max_iter):
-        q = matvec(p)
+        q = C @ p
         qq = float(q @ q)
         if qq == 0.0:
             return x
         step = gamma / qq
         x += step * p
         r -= step * q
-        s = rmatvec(r)
+        s = C.T @ r
         gamma_new = float(s @ s)
         if np.sqrt(gamma_new) <= target:
             return x
         p = s + (gamma_new / gamma) * p
         gamma = gamma_new
-    raise LeastSquaresError("cg", max_iter)
+    raise LeastSquaresError(f"cg did not converge in {max_iter} iterations")
 
 
 @dataclass(frozen=True)

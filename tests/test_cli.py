@@ -1,11 +1,17 @@
+import argparse
 import json
+import pathlib
+import re
+import shlex
 import types
 
 import numpy as np
 import pytest
 
-from admira.cli import main
+from admira.cli import build_parser, main
 from admira import bench, fileio
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args):
@@ -94,6 +100,27 @@ class TestGenSolve:
         with pytest.raises(SystemExit) as exc_info:
             run_cli(["solve", "--ls-method", "richardson", "--out", str(tmp_path / "x")])
         assert exc_info.value.code == 2
+
+    def test_max_iter_below_one_exits_one(self, tmp_path, capsys):
+        rc = run_cli(["solve", "--m", "10", "--n", "10", "--rank", "1",
+                      "--density", "0.5", "--max-iter", "0",
+                      "--out", str(tmp_path / "sol")])
+        assert rc == 1
+        assert "max_iter" in capsys.readouterr().err
+
+    def test_config_file_least_squares_keys_are_ignored(self, tmp_path):
+        # keys of options that no longer exist are ignored like any
+        # unknown key
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ls_method": "cg", "ls_tol": 1e-3,
+                                   "ls_max_iter": 1, "max_iter": 3}))
+        sol = tmp_path / "sol"
+        rc = run_cli(["solve", "--m", "16", "--n", "16", "--rank", "1",
+                      "--operator", "sampling", "--p", "200", "--seed", "2",
+                      "--config", str(cfg), "--out", str(sol)])
+        assert rc == 0
+        report = json.loads((sol / "report.json").read_text())
+        assert 1 <= report["iterations"] <= 3
 
     def test_unknown_algo_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc_info:
@@ -201,3 +228,35 @@ class TestSolveSeed:
                         "--out", str(out)]) == 0
         meta = json.loads((out / "problem.json").read_text())
         assert meta["seed"] == 0 and meta["spec_hash"] == "41ae0c773a58"
+
+
+class TestReadmeFlags:
+    """Every flag the README shows is one the CLI accepts, so removed
+    flags cannot linger in the docs."""
+
+    def split_readme(self):
+        text = README.read_text()
+        blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
+        prose = re.sub(r"```.*?```", "", text, flags=re.S)
+        return blocks, prose
+
+    def test_shell_examples_parse(self):
+        blocks, _ = self.split_readme()
+        commands = [shlex.split(line, comments=True)
+                    for block in blocks
+                    for line in block.replace("\\\n", " ").splitlines()]
+        commands = [cmd[1:] for cmd in commands if cmd[:1] == ["admira"]]
+        assert len(commands) >= 6
+        for argv in commands:
+            build_parser().parse_args(argv)
+
+    def test_flags_in_prose_exist(self):
+        _, prose = self.split_readme()
+        flags = {flag for span in re.findall(r"`([^`]*)`", prose)
+                 for flag in re.findall(r"--[a-z][a-z-]*", span)}
+        subcommands = next(action for action in build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction)).choices
+        accepted = {option for sub in subcommands.values()
+                    for option in sub._option_string_actions}
+        assert flags and flags <= accepted, sorted(flags - accepted)
+

@@ -9,7 +9,7 @@ from admira.baseline import default_config, svt_solve
 from admira.bench import ProblemSpec, generate_problem
 from admira.solver import SolverConfig, admira_solve
 
-ADMIRA_STOPS = ("tol", "monotone_break", "max_iter", "svd_stall", "ls_stall")
+ADMIRA_STOPS = ("tol", "monotone_break", "max_iter", "svd_stall")
 SVT_STOPS = ("tol", "divergence", "max_iter", "svd_stall")
 
 
@@ -32,17 +32,14 @@ instance = dict(seed=st.integers(0, 2**31 - 1), m=st.integers(6, 16),
 
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(**instance, gaussian=st.booleans(), snr_meas_db=st.sampled_from([None, 20.0]),
-       ls_max_iter=st.sampled_from([None, 1]), stall_tol=st.sampled_from([0.0, 1e-3]))
+       stall_tol=st.sampled_from([0.0, 1e-3]))
 def test_admira_report_invariants(seed, m, n, rank, density, max_iter, gaussian,
-                                  snr_meas_db, ls_max_iter, stall_tol):
-    # ls_max_iter=1 makes CG stall, at the first iteration or later
+                                  snr_meas_db, stall_tol):
     p = int(density * m * n) * (3 if gaussian else 1)
     spec = ProblemSpec(m, n, rank, "gaussian" if gaussian else "sampling", p,
                        snr_meas_db, seed)
     op, b, X0, _ = generate_problem(spec)
-    config = SolverConfig(rank=rank, max_iter=max_iter, stall_tol=stall_tol,
-                          ls_method="cg" if ls_max_iter else "auto",
-                          ls_max_iter=ls_max_iter)
+    config = SolverConfig(rank=rank, max_iter=max_iter, stall_tol=stall_tol)
     report = admira_solve(op, b, config, ground_truth=X0)
     assert_report_invariants(report, op, b, ADMIRA_STOPS)
     assert report.solution.k <= rank

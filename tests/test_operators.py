@@ -110,6 +110,17 @@ class TestAtomColumns:
                 np.testing.assert_allclose(C[:, k], col, rtol=1e-12,
                                            atol=1e-12 * np.abs(col).max())
 
+    @pytest.mark.parametrize("kind", ["gaussian", "sampling"])
+    def test_row_block_fills_buffer(self, kind):
+        op = make_operator(kind, 6, 7, 40, seed=4)
+        rng = np.random.default_rng(5)
+        left, right = rng.standard_normal((6, 3)), rng.standard_normal((7, 3))
+        out = np.empty((13, 3))
+        block = op.atom_columns(left, right, slice(27, 40), out)
+        assert block is out
+        np.testing.assert_allclose(block, op.atom_columns(left, right)[27:],
+                                   rtol=1e-14, atol=0)
+
     def test_no_atoms(self, operator):
         C = operator.atom_columns(np.zeros((9, 0)), np.zeros((7, 0)))
         assert C.shape == (40, 0)
@@ -136,6 +147,18 @@ class TestSamplingCombination:
         expected = self.op.atom_columns(left * coeffs, right).sum(axis=1)
         got = self.op.apply_combination(left, right, coeffs)
         assert got.shape == (700,)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("K", range(8))
+    def test_blocks_bitwise_equal_to_in_order_sum(self, monkeypatch, K):
+        # 700 rows in blocks of 64: ten full blocks and a partial one
+        monkeypatch.setattr(operators, "BLOCK_ROWS", 64)
+        left, right, coeffs = self.terms(K)
+        columns = self.op.atom_columns(left * coeffs, right)
+        expected = np.zeros(700)
+        for k in range(K):
+            expected += columns[:, k]
+        got = self.op.apply_combination(left, right, coeffs)
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("K", [8, 12])
