@@ -66,10 +66,12 @@ def soft_threshold_factored(F, tau):
 def _leading_above(Y, tau, hint, seed):
     # All singular triplets of Y above tau: grow the truncation until the
     # smallest computed value dips under the threshold or rank runs out.
+    # floor=tau leaves triplets below tau unconverged; they are only
+    # compared with tau here, and soft_threshold_factored drops them.
     minmn = min(Y.shape)
     k = min(max(hint, 1), minmn)
     while True:
-        F = truncated_svd(Y, k, seed=seed)
+        F = truncated_svd(Y, k, seed=seed, floor=tau)
         if F.k < k or F.sigmas[-1] <= tau or k == minmn:
             return F
         k = min(k + 5, minmn)

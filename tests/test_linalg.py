@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
+from admira.baseline import _leading_above
 from admira.linalg import (
     AtomSet,
     FactoredMatrix,
+    LanczosConvergenceError,
     best_rank_r,
     full_svd,
     svd_of_factored,
@@ -137,11 +142,15 @@ class TestTruncatedSvd:
                                        rtol=1e-8 * hi.sigmas[0])
 
     def test_more_than_rank_returns_fewer(self):
+        # Lanczos breaks down on a zero alpha here; the last right vector
+        # still lies in the invariant subspace, so the values need its column
         rng = np.random.default_rng(6)
         M = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 10))
         for mode in ("dense", "lanczos"):
             F = truncated_svd(M, 7, mode=mode)
             assert F.k == 3
+            np.testing.assert_allclose(F.sigmas, full_svd(M).sigmas[:3], rtol=1e-12)
+            assert np.linalg.norm(F.densify() - M) <= 1e-12 * np.linalg.norm(M)
 
     def test_matvec_closures_supported(self):
         from scipy.sparse.linalg import LinearOperator
@@ -166,6 +175,119 @@ class TestTruncatedSvd:
         lo = truncated_svd(S, 4)
         hi = full_svd(S.toarray())
         np.testing.assert_allclose(lo.sigmas, hi.sigmas[:4], rtol=1e-8)
+
+
+@st.composite
+def straddled_matrices(draw, min_dim, max_dim):
+    """A dense or CSR matrix, either orientation, with a threshold tau
+    that falls inside a gap of its spectrum."""
+    m = draw(st.integers(min_dim, max_dim))
+    n = draw(st.integers(min_dim, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        M = sp.random(m, n, density=draw(st.floats(0.05, 0.3)), format="csr",
+                      random_state=rng)
+        dense = M.toarray()
+    else:
+        # Up to eight separated leading values over a clustered bulk, the
+        # shape of SVT's dual spectrum.
+        lead = 10.0 * np.cumprod(rng.uniform(0.6, 0.95, size=draw(st.integers(0, 8))))
+        top = draw(st.floats(0.9, 0.999)) * lead[-1] if lead.size else 10.0
+        bulk = rng.uniform(0.0, top, size=min(m, n) - lead.size)
+        s = np.concatenate([lead, np.sort(bulk)[::-1]])
+        U = np.linalg.qr(rng.standard_normal((m, s.size)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, s.size)))[0]
+        M = dense = (U * s) @ V.T
+    s = full_svd(dense).sigmas
+    gap = draw(st.integers(0, 7))
+    above = s[gap - 1] if gap else 2.0 * s[0]
+    tau = s[gap] + draw(st.floats(0.2, 0.8)) * (above - s[gap])
+    return M, dense, tau
+
+
+def assert_matches_above(F, dense, tau, k):
+    """``F`` holds min(k, #sigma > tau) triplets above ``tau``, equal to
+    the dense SVD's in value and, up to the Wedin gap factor, subspace."""
+    ref = full_svd(dense)
+    s1 = ref.sigmas[0]
+    q = min(k, int(np.sum(ref.sigmas > tau)))
+    assert int(np.sum(F.sigmas > tau)) == q
+    np.testing.assert_allclose(F.sigmas[:q], ref.sigmas[:q], rtol=0, atol=1e-10 * s1)
+    if q:
+        gap = ref.sigmas[q - 1] - (ref.sigmas[q] if q < ref.k else 0.0)
+        bound = 2e-10 * np.sqrt(q) * s1 / gap + 1e-12
+        for X, Y in ((F.left, ref.left), (F.right, ref.right)):
+            diff = X[:, :q] @ X[:, :q].T - Y[:, :q] @ Y[:, :q].T
+            assert np.linalg.norm(diff, 2) <= bound
+
+
+class TestLanczosFloor:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(straddled_matrices(20, 90), st.integers(1, 6), st.integers(0, 99))
+    def test_floor_keeps_every_triplet_above(self, case, k, seed):
+        M, dense, tau = case
+        F = truncated_svd(M, k, mode="lanczos", seed=seed, floor=tau)
+        assert_matches_above(F, dense, tau, k)
+
+    @settings(max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(straddled_matrices(401, 430), st.integers(0, 12), st.integers(0, 99))
+    def test_leading_above_finds_all_above_tau(self, case, hint, seed):
+        # min(m, n) > 400: the auto mode SVT uses takes the Lanczos path
+        M, dense, tau = case
+        F = _leading_above(M, tau, hint, seed)
+        assert_matches_above(F, dense, tau, min(M.shape))
+
+    @pytest.mark.parametrize("seed", [21, 59, 223])
+    def test_value_just_above_a_dense_bulk(self, seed):
+        # sigma_2 sits up to 1% above a bulk of 198 values in [0, 1], with tau
+        # in between.  At the first check a Ritz value for the bulk's top
+        # has its Ritz value plus residual below tau while sigma_2 is not
+        # yet in the Krylov space; a margin of one residual missed it on
+        # these seeds.
+        rng = np.random.default_rng(seed)
+        m, n = 220, 200
+        s = np.concatenate([[10.0, 1.0 + 0.01 * rng.uniform()],
+                            np.sort(rng.uniform(0.0, 1.0, n - 2))[::-1]])
+        U = np.linalg.qr(rng.standard_normal((m, n)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        tau = 1.0 + 0.5 * (s[1] - 1.0)
+        F = truncated_svd((U * s) @ V.T, 3, mode="lanczos", seed=seed, floor=tau)
+        np.testing.assert_allclose(F.sigmas[F.sigmas > tau], s[:2], rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(60, 45), (45, 60)])
+    def test_sparse_products_bit_equal_to_operator(self, shape):
+        # m < n runs the recurrence on the transpose
+        S = sp.random(*shape, density=0.2, format="csr", random_state=3)
+        direct = truncated_svd(S, 4, mode="lanczos", seed=5)
+        wrapped = truncated_svd(aslinearoperator(S), 4, seed=5)
+        for a, b in ((direct.sigmas, wrapped.sigmas), (direct.left, wrapped.left),
+                     (direct.right, wrapped.right)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_unreachable_tol_stops_at_step_budget(self):
+        # k = 2: blocks of max(2k + 10, 16) = 16 steps, budget 16 (10k + 1)
+        # = 336 < min(m, n).  The second value settles under the floor; no
+        # residual meets a negative tol (a converged one can be exactly 0).
+        rng = np.random.default_rng(11)
+        m, n = 400, 380
+        s = np.concatenate([[10.0, 1.0], rng.uniform(0.0, 0.5, size=n - 2)])
+        U = np.linalg.qr(rng.standard_normal((m, n)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        M = (U * s) @ V.T
+        steps = []
+
+        def matvec(x):
+            steps.append(1)
+            return M @ x
+
+        A = LinearOperator(M.shape, matvec=matvec, rmatvec=lambda y: M.T @ y, dtype=float)
+        with pytest.raises(LanczosConvergenceError) as err:
+            truncated_svd(A, 2, tol=-1.0, floor=5.0)
+        assert err.value.steps == len(steps) == 336
+        assert (err.value.converged, err.value.requested) == (1, 2)
+        assert "336" in str(err.value)
 
 
 class TestSvdOfFactored:

@@ -181,11 +181,11 @@ class TestInnerSolverFailures:
 
         seeds = []
 
-        def stalls_on_second_iteration(M, k, mode="auto", tol=1e-10, seed=0):
+        def stalls_on_second_iteration(M, k, mode="auto", tol=1e-10, seed=0, floor=0.0):
             seeds.append(seed)
             if len(set(seeds)) == 2:
                 raise LanczosConvergenceError(0, k, 3)
-            return truncated_svd(M, k, mode=mode, tol=tol, seed=seed)
+            return truncated_svd(M, k, mode=mode, tol=tol, seed=seed, floor=floor)
 
         op, b, _ = gaussian_instance(0)
         first = self.first_iterate(op, b)
