@@ -6,17 +6,36 @@ decimals.  Factored matrix: first line ``m n k``, then k blocks of three
 lines (sigma, the length-m left vector, the length-n right vector).
 Sampling operator: line ``m n p`` followed by p lines ``i j`` with
 1-based indices.  Gaussian operator: a single line ``m n p seed`` (the
-frames are regenerated from the seed).
+frames are regenerated from the seed).  Vector: one decimal per line.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .linalg import ORTHO_TOL, FactoredMatrix, check_dense
-from .operators import GaussianOperator, SamplingOperator
+from .operators import BLOCK_ROWS, GaussianOperator, SamplingOperator
 
-_FMT = "%.17g"
+
+def _write_lines(fh, rows, fmt="%.17g"):
+    """Write each row of the 2-D ``rows`` as a line of space-separated
+    ``fmt`` numbers, formatting about ``BLOCK_ROWS`` numbers per ``%``."""
+    line = " ".join([fmt] * rows.shape[1]) + "\n"
+    step = max(1, BLOCK_ROWS // max(1, rows.shape[1]))
+    for start in range(0, rows.shape[0], step):
+        block = rows[start:start + step]
+        fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
+def _read_rows(fh, path, shape, dtype=np.float64):
+    """The rest of ``fh`` as an array of ``shape``.  An empty one is not
+    left to loadtxt, which warns on no data and gives shape (0, 1)."""
+    X = np.loadtxt(fh, dtype=dtype, ndmin=2) if 0 not in shape else np.zeros(shape, dtype)
+    if X.shape != shape or (0 in shape and fh.read().strip()):
+        raise ValueError(f"{path}: expected {shape[0]}x{shape[1]} entries")
+    return X
 
 
 def write_dense_matrix(path, X):
@@ -24,17 +43,13 @@ def write_dense_matrix(path, X):
     m, n = X.shape
     with open(path, "w") as fh:
         fh.write(f"{m} {n}\n")
-        for row in X:
-            fh.write(" ".join(_FMT % v for v in row) + "\n")
+        _write_lines(fh, X)
 
 
 def read_dense_matrix(path):
     with open(path) as fh:
         m, n = (int(tok) for tok in fh.readline().split())
-        X = np.loadtxt(fh, dtype=np.float64, ndmin=2)
-    if X.shape != (m, n):
-        raise ValueError(f"{path}: expected {m}x{n} matrix, got {X.shape}")
-    return check_dense(X, name=str(path))
+        return check_dense(_read_rows(fh, path, (m, n)), name=str(path))
 
 
 def write_factored_matrix(path, F):
@@ -42,9 +57,8 @@ def write_factored_matrix(path, F):
     with open(path, "w") as fh:
         fh.write(f"{m} {n} {F.k}\n")
         for j in range(F.k):
-            fh.write(_FMT % F.sigmas[j] + "\n")
-            fh.write(" ".join(_FMT % v for v in F.left[:, j]) + "\n")
-            fh.write(" ".join(_FMT % v for v in F.right[:, j]) + "\n")
+            for values in (F.sigmas[j:j + 1], F.left[:, j], F.right[:, j]):
+                _write_lines(fh, values[None, :])
 
 
 def read_factored_matrix(path):
@@ -71,8 +85,7 @@ def write_operator(path, op):
     with open(path, "w") as fh:
         if isinstance(op, SamplingOperator):
             fh.write(f"{op.m} {op.n} {op.p}\n")
-            for i, j in zip(op.rows, op.cols):
-                fh.write(f"{i + 1} {j + 1}\n")
+            _write_lines(fh, np.column_stack((op.rows + 1, op.cols + 1)), "%d")
         elif isinstance(op, GaussianOperator):
             fh.write(f"{op.m} {op.n} {op.p} {op.seed}\n")
         else:
@@ -87,22 +100,20 @@ def read_operator(path):
             return GaussianOperator(m, n, p, seed=seed)
         if len(head) == 3:
             m, n, p = (int(tok) for tok in head)
-            pairs = np.loadtxt(fh, dtype=np.int64, ndmin=2)
-            if pairs.shape != (p, 2):
-                raise ValueError(f"{path}: expected {p} index pairs")
+            pairs = _read_rows(fh, path, (p, 2), dtype=np.int64)
             return SamplingOperator(m, n, pairs[:, 0] - 1, pairs[:, 1] - 1)
     raise ValueError(f"{path}: unrecognized operator header")
 
 
 def write_vector(path, y):
-    y = np.asarray(y, dtype=np.float64).ravel()
+    y = check_dense(np.ravel(y)[:, None], name="vector")
     with open(path, "w") as fh:
-        for v in y:
-            fh.write(_FMT % v + "\n")
+        _write_lines(fh, y)
 
 
 def read_vector(path):
-    y = np.loadtxt(path, dtype=np.float64, ndmin=1)
+    # loadtxt warns on an empty file, which is how an empty vector is written
+    y = np.loadtxt(path, dtype=np.float64, ndmin=1) if os.path.getsize(path) else np.zeros(0)
     if not np.all(np.isfinite(y)):
         raise ValueError(f"{path}: vector contains NaN or Inf")
     return y

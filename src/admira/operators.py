@@ -147,20 +147,32 @@ def sample_indices_without_replacement(total, count, seed):
     partial Fisher-Yates shuffle over a virtual range (no length-``total``
     array is materialized).
 
-    Step ``i`` swaps position ``i`` with a uniform position ``j`` in
-    ``[i, total)``.  All swap targets are drawn in one call, which gives
-    the same stream as drawing them one step at a time; only the swaps
-    are replayed in Python, over a dict of the positions touched.
+    Step ``i`` swaps position ``i`` with a uniform position ``j_i`` in
+    ``[i, total)``.  All targets are drawn in one call, which gives the
+    same stream as drawing them one step at a time.  Step ``i`` outputs
+    what the last earlier step ``k`` with target ``j_i`` moved there, or
+    ``j_i``; step ``k`` moved what position ``k`` held, which pointer
+    jumping finds.  Sorting the steps by ``(target, step)`` gives both
+    kinds of predecessor, so no step is replayed one at a time.
     """
     if not 0 <= count <= total:
         raise ValueError("need 0 <= count <= total")
-    targets = _rng(seed).integers(np.arange(count), total).tolist()
-    swapped = {}
-    out = []
-    for i, j in enumerate(targets):
-        out.append(swapped.get(j, j))
-        swapped[j] = swapped.get(i, i)
-    return np.array(out, dtype=np.int64)
+    if total * count >= 2**63:
+        raise ValueError(f"cannot sample {count} of {total}: total*count overflows int64")
+    targets = _rng(seed).integers(np.arange(count), total)
+    keys = targets * count + np.arange(count)
+    keys.sort()
+    # the entry just below (k, k) is the last step before k with target k
+    below = np.searchsorted(keys, np.arange(count) * (count + 1)) - 1
+    target, step = np.divmod(keys, count)  # in (target, step) order
+    held = np.arange(count)
+    chained = (below >= 0) & (target[below] == held)
+    held[chained] = step[below[chained]]
+    while not np.array_equal(up := held[held], held):
+        held = up
+    repeat = np.flatnonzero(target[1:] == target[:-1]) + 1
+    targets[step[repeat]] = held[step[repeat - 1]]  # the rest output j_i
+    return targets
 
 
 class SamplingOperator(MeasurementOperator):
@@ -184,7 +196,8 @@ class SamplingOperator(MeasurementOperator):
                           or cols.min() < 0 or cols.max() >= self.n):
             raise ValueError("sample index out of range")
         flat = rows * self.n + cols
-        order = np.argsort(flat, kind="stable")
+        # keys are distinct (or refused below): any sort gives the same order
+        order = np.argsort(flat)
         flat = flat[order]
         if np.any(flat[1:] == flat[:-1]):
             raise ValueError("sample indices must be distinct")

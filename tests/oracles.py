@@ -4,7 +4,8 @@ Everything here is deliberately written from first principles, without
 calling into the package under test: a one-sided Jacobi SVD,
 normal-equations and Householder-QR least-squares solvers, an
 alternating power-method search for the extreme rank-one measurement
-gains, and a step-by-step partial Fisher-Yates shuffle.
+gains, a step-by-step partial Fisher-Yates shuffle, and writers of the
+plain-text file formats that format one value per ``%`` call.
 """
 
 import numpy as np
@@ -137,3 +138,38 @@ def fisher_yates_indices(total, count, seed):
         out[i] = swapped.get(j, j)
         swapped[j] = swapped.get(i, i)
     return out
+
+
+def write_dense_matrix_per_value(path, X):
+    """The dense-matrix file format, one ``%`` call per value."""
+    m, n = X.shape
+    with open(path, "w") as fh:
+        fh.write(f"{m} {n}\n")
+        for row in X:
+            fh.write(" ".join("%.17g" % v for v in row) + "\n")
+
+
+def write_factored_matrix_per_value(path, F):
+    """The factored-matrix file format, one ``%`` call per value."""
+    m, n = F.shape
+    with open(path, "w") as fh:
+        fh.write(f"{m} {n} {F.k}\n")
+        for j in range(F.k):
+            fh.write("%.17g" % F.sigmas[j] + "\n")
+            fh.write(" ".join("%.17g" % v for v in F.left[:, j]) + "\n")
+            fh.write(" ".join("%.17g" % v for v in F.right[:, j]) + "\n")
+
+
+def write_sampling_operator_per_pair(path, op):
+    """The sampling-operator file format, one line per index pair."""
+    with open(path, "w") as fh:
+        fh.write(f"{op.m} {op.n} {op.p}\n")
+        for i, j in zip(op.rows, op.cols):
+            fh.write(f"{i + 1} {j + 1}\n")
+
+
+def write_vector_per_value(path, y):
+    """The vector file format, one ``%`` call per value."""
+    with open(path, "w") as fh:
+        for v in np.asarray(y, dtype=np.float64).ravel():
+            fh.write("%.17g" % v + "\n")

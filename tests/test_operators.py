@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from admira import operators
 from admira.linalg import FactoredMatrix
@@ -272,6 +273,51 @@ class TestSamplingConstruction:
         got = sample_indices_without_replacement(total, count, seed)
         assert got.dtype == np.int64 and got.shape == (count,)
         np.testing.assert_array_equal(got, fisher_yates_indices(total, count, seed))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.one_of(st.integers(1, 12), st.integers(1, 3000)),
+           st.integers(0, 2**32 - 1))
+    def test_matches_step_by_step_shuffle_property(self, data, total, seed):
+        # small totals and counts near total make every target collide
+        count = data.draw(st.one_of(st.sampled_from([0, 1, total]),
+                                    st.integers(max(0, total - 3), total),
+                                    st.integers(0, total)))
+        np.testing.assert_array_equal(sample_indices_without_replacement(total, count, seed),
+                                      fisher_yates_indices(total, count, seed))
+
+    def test_key_overflow_refused_before_drawing(self, monkeypatch):
+        def no_draw(*key):
+            raise AssertionError("targets were about to be drawn")
+
+        monkeypatch.setattr(operators, "_rng", no_draw)
+        with pytest.raises(ValueError, match=f"2 of {2**62}"):
+            sample_indices_without_replacement(2**62, 2, 0)
+
+    def test_largest_key_below_overflow(self):
+        total = 2**62 - 1  # total * count = 2**63 - 2
+        np.testing.assert_array_equal(sample_indices_without_replacement(total, 2, 5),
+                                      fisher_yates_indices(total, 2, 5))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.floats(0, 1), st.integers(0, 2**32 - 1))
+    def test_layout_equals_stable_sort(self, m, n, fraction, seed):
+        op = SamplingOperator.random(m, n, int(fraction * m * n), seed=seed)
+        flat = op.rows * n + op.cols
+        order = np.argsort(flat, kind="stable")
+        np.testing.assert_array_equal(op._order, order)
+        np.testing.assert_array_equal(op._indices, op.cols[order])
+        np.testing.assert_array_equal(op._indptr,
+                                      np.searchsorted(flat[order], np.arange(m + 1) * n))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data(), st.integers(1, 30), st.integers(2, 30), st.integers(0, 2**32 - 1))
+    def test_duplicate_pair_refused_anywhere(self, data, m, n, seed):
+        op = SamplingOperator.random(m, n, data.draw(st.integers(1, m * n - 1)), seed=seed)
+        twin = data.draw(st.integers(0, op.p - 1))
+        at = data.draw(st.integers(0, op.p))
+        with pytest.raises(ValueError, match="distinct"):
+            SamplingOperator(m, n, np.insert(op.rows, at, op.rows[twin]),
+                             np.insert(op.cols, at, op.cols[twin]))
 
     def test_sample_count_out_of_range_rejected(self):
         for total, count in ((5, 6), (5, -1)):
