@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import RANK_TOL, FactoredMatrix, full_svd, svd_of_factored
-from .operators import _rng, estimate_delta, estimate_delta_profile
+from .operators import _rng, estimate_delta_profile
 
 SNR_CAP_DB = 300.0
 
@@ -111,11 +111,13 @@ def _as_dense(X):
 def snr_recon(X0, Xhat):
     """Reconstruction SNR in dB: ``20 log10(||X0||_F / ||X0 - Xhat||_F)``,
     capped at +300 dB so exact recovery stays finite in CSV output."""
-    X0 = _as_dense(X0)
+    X0, Xhat = _as_dense(X0), _as_dense(Xhat)
+    if X0.shape != Xhat.shape:
+        raise ValueError(f"snr_recon: ground truth {X0.shape} and estimate {Xhat.shape} differ")
     signal = np.linalg.norm(X0)
     if signal == 0.0:
         raise ValueError("snr_recon undefined for zero ground truth")
-    err = np.linalg.norm(X0 - _as_dense(Xhat))
+    err = np.linalg.norm(X0 - Xhat)
     if err == 0.0:
         return SNR_CAP_DB
     return float(min(20.0 * math.log10(signal / err), SNR_CAP_DB))
@@ -153,12 +155,14 @@ def check_isometry_inequalities(op, r, trials, seed=0, delta_trials=200):
     evidence: a violation flags the estimate as too low rather than
     disproving the inequality.
 
-    Returns a list of JSON-ready dicts, one per check, plus one record
-    for the nondecreasing-in-r property of the estimates themselves.
+    Returns a list of JSON-ready dicts, one per check, plus a last
+    record, ``delta_nondecreasing_in_r``, whose ``deltas`` are the
+    estimates for ranks 1..r.
     """
     if r < 1 or trials < 1:
         raise ValueError("need r >= 1 and trials >= 1")
-    est = estimate_delta(op, r, delta_trials, seed=seed)
+    chain = estimate_delta_profile(op, r, delta_trials, seed=seed)
+    est = chain[-1]
     gain = math.sqrt(1.0 + est.delta_lower)
     records = []
     for t in range(trials):
@@ -195,7 +199,6 @@ def check_isometry_inequalities(op, r, trials, seed=0, delta_trials=200):
             "note": "consistency evidence only; delta is a Monte Carlo lower bound",
         })
 
-    chain = estimate_delta_profile(op, r, delta_trials, seed=seed)
     deltas = [e.delta_lower for e in chain]
     records.append({
         "check": "delta_nondecreasing_in_r",

@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .analysis import snr_recon
-from .baseline import default_config, svt_solve
+from .baseline import svt_solve
 from .operators import GaussianOperator, SamplingOperator, _rng
 from .solver import SolverConfig, admira_solve
 
@@ -105,14 +105,13 @@ def generate_problem(spec):
     return op, b_clean + nu, X0, nu
 
 
-def _solve(op, b, algo, solver_config, svt_config, ground_truth=None):
+def _solve(op, b, algo, solver_config, svt_config=None, ground_truth=None):
     """Run one solve and time it.  Returns ``(report, wall)``."""
     start = time.perf_counter()
     if algo == "admira":
         report = admira_solve(op, b, solver_config, ground_truth=ground_truth)
     elif algo == "svt":
-        report = svt_solve(op, b, svt_config or default_config(op.m, op.n, op.p),
-                           ground_truth=ground_truth)
+        report = svt_solve(op, b, svt_config, ground_truth=ground_truth)
     else:
         raise ValueError(f"unknown algorithm: {algo!r}")
     return report, time.perf_counter() - start
@@ -124,9 +123,9 @@ def _record(spec_hash, trial_index, algo, X0, report, wall):
                        report.stop_reason, round(wall, 4))
 
 
-def run_trial(spec, algo="admira", solver_config=None, svt_config=None,
-              trial_index=0):
-    """Generate the instance, solve it, and score it.
+def run_trial(spec, algo="admira", solver_config=None, trial_index=0):
+    """Generate the instance, solve it, and score it.  SVT runs with the
+    operator's :func:`~admira.baseline.default_config`.
 
     Returns ``(record, report)``.  A solve that fails (SVT divergence, a
     stalled SVD or least-squares solve) is a record with that stop
@@ -136,8 +135,7 @@ def run_trial(spec, algo="admira", solver_config=None, svt_config=None,
     if algo == "svt" and spec.snr_meas_db is not None:
         raise ValueError("svt supports noiseless measurements only")
     report, wall = _solve(op, b, algo,
-                          solver_config or SolverConfig(rank=spec.rank, seed=spec.seed),
-                          svt_config)
+                          solver_config or SolverConfig(rank=spec.rank, seed=spec.seed))
     return _record(spec.hash(), trial_index, algo, X0, report, wall), report
 
 
@@ -146,11 +144,11 @@ def _trial_record(job):
 
 
 def _run_cells(cells, workers):
-    """Run the trials of all cells ``(specs, algo, solver_config,
-    svt_config)`` through one pool of at most one process per trial, and
-    return the records cell by cell."""
-    jobs = [(spec, algo, solver_config, svt_config, t)
-            for specs, algo, solver_config, svt_config in cells
+    """Run the trials of all cells ``(specs, algo, solver_config)``
+    through one pool of at most one process per trial, and return the
+    records cell by cell."""
+    jobs = [(spec, algo, solver_config, t)
+            for specs, algo, solver_config in cells
             for t, spec in enumerate(specs)]
     workers = min(workers, len(jobs))
     if workers > 1:
@@ -194,10 +192,9 @@ def _write_csv(path, header, rows):
             fh.write(",".join(str(v) for v in row) + "\n")
 
 
-def run_table1(n_list, trials=20, out_csv=None, seed=0, workers=1,
-               rank=2, solver_config=None):
-    """Completion of square random matrices at the n^1.2-law sample
-    budget, noiseless and at 20 dB measurement SNR.
+def run_table1(n_list, trials=20, out_csv=None, seed=0, workers=1):
+    """Completion of square rank-2 random matrices at the n^1.2-law
+    sample budget, noiseless and at 20 dB measurement SNR.
 
     One CSV row per n: sampling density, oversampling factor over the
     degrees of freedom, and mean reconstruction SNR / iteration count
@@ -206,12 +203,13 @@ def run_table1(n_list, trials=20, out_csv=None, seed=0, workers=1,
     header = ["n", "p_over_n2", "p_over_dr", "snr_noiseless_db",
               "iters_noiseless", "snr_noisy_db", "iters_noisy",
               "trials", "spec_hash"]
+    rank = 2
     # the published budget exceeds n^2 below n ~ 100; cap at full
     # observation so small smoke runs remain valid sampling problems
     grid = [(n, min(table1_measurement_count(n, rank), n * n)) for n in n_list]
     cells = [([ProblemSpec(n, n, rank, "sampling", p, noise,
                            seed=_trial_seed(seed, n, label, t))
-               for t in range(trials)], "admira", solver_config, None)
+               for t in range(trials)], "admira", None)
              for n, p in grid
              for label, noise in (("noiseless", None), ("noisy", 20.0))]
     if out_csv:
@@ -228,8 +226,7 @@ def run_table1(n_list, trials=20, out_csv=None, seed=0, workers=1,
 
 
 def run_table2(r_list=(2, 5, 10), density_list=(0.05, 0.10, 0.15, 0.20, 0.25, 0.30),
-               n=1000, trials=20, out_csv=None, seed=0, workers=1,
-               solver_config=None, svt_config=None):
+               n=1000, trials=20, out_csv=None, seed=0, workers=1):
     """Head-to-head completion comparison on noiseless instances: one CSV
     row per (rank, sampling density) with mean SNR and iterations for
     both algorithms on the same instances.  Failures (including SVT
@@ -238,12 +235,12 @@ def run_table2(r_list=(2, 5, 10), density_list=(0.05, 0.10, 0.15, 0.20, 0.25, 0.
               "admira_iters", "svt_iters", "trials", "spec_hash"]
     cells = []
     for r in r_list:
-        admira_cfg = dataclasses.replace(solver_config or SolverConfig(rank=r), rank=r)
+        admira_cfg = SolverConfig(rank=r)
         for density in density_list:
             specs = [ProblemSpec(n, n, r, "sampling", int(round(density * n * n)), None,
                                  seed=_trial_seed(seed, n, r, density, t))
                      for t in range(trials)]
-            cells += [(specs, "admira", admira_cfg, None), (specs, "svt", None, svt_config)]
+            cells += [(specs, "admira", admira_cfg), (specs, "svt", None)]
     if out_csv:
         _check_csv_header(out_csv, header)
     recs = _run_cells(cells, workers)
@@ -271,7 +268,7 @@ def run_phase(p_grid, r_grid, n=100, trials=10, out_csv=None, seed=0,
                                 seed=_trial_seed(seed, n, r, p, t))
                     for t in range(trials)])
             for r in r_grid for p in p_grid]
-    cells = [(specs, algo, None, None) for _, _, specs in grid for algo in ("admira", "svt")]
+    cells = [(specs, algo, None) for _, _, specs in grid for algo in ("admira", "svt")]
     if out_csv:
         _check_csv_header(out_csv, header)
     recs = _run_cells(cells, workers)
@@ -295,7 +292,7 @@ TRIAL_CSV_HEADER = [f.name for f in dataclasses.fields(TrialRecord)]
 
 
 def solve_once(op, b, algo, out_dir, X0=None, solver_config=None,
-               svt_config=None, rank=None, spec_hash="", trial_index=0):
+               svt_config=None, spec_hash="", trial_index=0):
     """Solve one instance and persist the outcome.
 
     Writes ``solution.txt`` (factored matrix), ``report.json`` (stop
@@ -306,7 +303,7 @@ def solve_once(op, b, algo, out_dir, X0=None, solver_config=None,
     from . import fileio  # local import keeps bench usable without file output
 
     os.makedirs(out_dir, exist_ok=True)
-    report, wall = _solve(op, b, algo, solver_config or SolverConfig(rank=rank or 1),
+    report, wall = _solve(op, b, algo, solver_config or SolverConfig(rank=1),
                           svt_config, ground_truth=X0)
     record = _record(spec_hash, trial_index, algo, X0, report, wall)
     fileio.write_factored_matrix(os.path.join(out_dir, "solution.txt"),

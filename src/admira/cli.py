@@ -17,7 +17,7 @@ import sys
 
 from . import analysis, bench, fileio
 from .baseline import default_config
-from .operators import GaussianOperator, SamplingOperator, estimate_delta_profile
+from .operators import GaussianOperator, SamplingOperator
 from .solver import SolverConfig
 
 
@@ -116,7 +116,7 @@ def cmd_solve(args):
                if args.algo == "svt" else None)
     record = bench.solve_once(op, b, args.algo, args.out, X0=X0,
                               solver_config=solver_cfg, svt_config=svt_cfg,
-                              rank=rank, spec_hash=spec_hash)
+                              spec_hash=spec_hash)
     print(f"{args.algo}: snr={record.snr_recon_db} dB, "
           f"iterations={record.iterations}, stop={record.stop_reason}")
     return 0
@@ -153,17 +153,17 @@ def cmd_ripcheck(args):
         op = GaussianOperator(args.m, args.n, args.p, seed=args.seed)
     else:
         op = SamplingOperator.random(args.m, args.n, args.p, seed=args.seed)
-    estimates = estimate_delta_profile(op, args.r_max, args.trials, seed=args.seed)
     checks = analysis.check_isometry_inequalities(
         op, args.r_max, trials=args.check_trials, seed=args.seed,
         delta_trials=args.trials)
+    deltas = checks[-1]["deltas"]
     inconsistent = sum(1 for c in checks if not c.get("consistent", True))
     payload = {
         "operator": args.operator,
         "m": args.m, "n": args.n, "p": args.p, "seed": args.seed,
         "delta_lower_bounds": [
-            {"r": e.r, "delta_lower": e.delta_lower, "trials": e.trials}
-            for e in estimates
+            {"r": r, "delta_lower": d, "trials": args.trials}
+            for r, d in enumerate(deltas, 1)
         ],
         "checks": checks,
         "inconsistent_checks": inconsistent,
@@ -174,8 +174,8 @@ def cmd_ripcheck(args):
             fh.write(text + "\n")
     else:
         print(text)
-    for e in estimates:
-        print(f"r={e.r}: delta_lower={e.delta_lower:.4f}", file=sys.stderr)
+    for r, d in enumerate(deltas, 1):
+        print(f"r={r}: delta_lower={d:.4f}", file=sys.stderr)
     return 0
 
 

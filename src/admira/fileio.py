@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from .linalg import ORTHO_TOL, FactoredMatrix, check_dense
+from .linalg import FactoredMatrix, check_dense, is_orthonormal
 from .operators import BLOCK_ROWS, GaussianOperator, SamplingOperator
 
 
@@ -71,14 +71,8 @@ def read_factored_matrix(path):
             sigmas[j] = float(fh.readline())
             left[:, j] = np.array(fh.readline().split(), dtype=np.float64)
             right[:, j] = np.array(fh.readline().split(), dtype=np.float64)
-    orthonormal = True
-    if k:
-        for B in (left, right):
-            G = B.T @ B
-            if np.max(np.abs(G - np.eye(k))) > ORTHO_TOL:
-                orthonormal = False
-                break
-    return FactoredMatrix((m, n), sigmas, left, right, orthonormal=orthonormal)
+    return FactoredMatrix((m, n), sigmas, left, right,
+                          orthonormal=is_orthonormal(left) and is_orthonormal(right))
 
 
 def write_operator(path, op):

@@ -3,7 +3,7 @@
 Low-rank iterates are kept as lists of weighted rank-one terms
 (sigma, u, v) instead of dense matrices.  The routines here convert
 between the two representations, compute leading singular triplets of
-large sparse or implicitly defined matrices by Golub-Kahan-Lanczos
+large sparse or dense matrices by Golub-Kahan-Lanczos
 bidiagonalization (until they converge or fall below a caller's floor),
 and re-orthonormalize factored matrices without forming the dense product.
 """
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator
 
 # Singular values below RANK_TOL * sigma_1 count as numerically zero.
 RANK_TOL = 1e-12
@@ -25,6 +24,8 @@ ORTHO_TOL = 1e-8
 DENSE_FALLBACK_DIM = 400
 # Lanczos steps between Ritz-residual checks after the first block.
 CHECK_EVERY = 4
+# Relative residual at which a Lanczos Ritz triplet counts as converged.
+LANCZOS_TOL = 1e-10
 SVD_MODES = ("auto", "dense", "lanczos")
 
 
@@ -61,6 +62,20 @@ def check_dense(X, name="matrix"):
     return X
 
 
+def _check_unit_columns(*factors):
+    """Raise ``ValueError`` unless every factor is finite with unit-norm columns."""
+    for B in factors:
+        if B.size and not np.all(np.isfinite(B)):
+            raise ValueError("factors contain NaN or Inf")
+        if B.shape[1] and np.max(np.abs(np.linalg.norm(B, axis=0) - 1.0)) > UNIT_TOL:
+            raise ValueError("factor columns must have unit norm")
+
+
+def is_orthonormal(B):
+    """Whether the columns of ``B`` are orthonormal to within ``ORTHO_TOL``."""
+    return bool(np.max(np.abs(B.T @ B - np.eye(B.shape[1])), initial=0.0) <= ORTHO_TOL)
+
+
 def _readonly(a):
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.flags.writeable = False
@@ -88,24 +103,15 @@ class FactoredMatrix:
         sig = np.atleast_1d(np.asarray(self.sigmas, dtype=np.float64))
         L = np.asarray(self.left, dtype=np.float64)
         R = np.asarray(self.right, dtype=np.float64)
-        L = L[:, None] if L.ndim == 1 else L
-        R = R[:, None] if R.ndim == 1 else R
         if not np.all(np.isfinite(sig)) or np.any(sig < 0):
             raise ValueError("sigmas must be finite and nonnegative")
         if np.any(sig[:-1] < sig[1:]):
             raise ValueError("sigmas must be sorted nonincreasing")
-        for B, dim in ((L, m), (R, n)):
-            if B.shape != (dim, sig.size):
-                raise ValueError("factor shape mismatch")
-            if B.size and not np.all(np.isfinite(B)):
-                raise ValueError("factors contain NaN or Inf")
-            if sig.size and np.max(np.abs(np.linalg.norm(B, axis=0) - 1.0)) > UNIT_TOL:
-                raise ValueError("factor columns must have unit norm")
-        if self.orthonormal and sig.size:
-            for B in (L, R):
-                G = B.T @ B
-                if np.max(np.abs(G - np.eye(sig.size))) > ORTHO_TOL:
-                    raise ValueError("factors are not orthonormal")
+        if L.shape != (m, sig.size) or R.shape != (n, sig.size):
+            raise ValueError("factor shape mismatch")
+        _check_unit_columns(L, R)
+        if self.orthonormal and not (is_orthonormal(L) and is_orthonormal(R)):
+            raise ValueError("factors are not orthonormal")
         object.__setattr__(self, "sigmas", _readonly(sig))
         object.__setattr__(self, "left", _readonly(L))
         object.__setattr__(self, "right", _readonly(R))
@@ -120,13 +126,6 @@ class FactoredMatrix:
     def k(self):
         """Number of stored rank-one terms."""
         return self.sigmas.size
-
-    @property
-    def rank(self):
-        """Number of terms above the relative rank tolerance."""
-        if self.k == 0 or self.sigmas[0] <= 0.0:
-            return 0
-        return int(np.sum(self.sigmas > RANK_TOL * self.sigmas[0]))
 
     def densify(self):
         """Materialize the dense m-by-n array."""
@@ -152,11 +151,7 @@ class AtomSet:
         R = np.asarray(self.right, dtype=np.float64)
         if L.ndim != 2 or R.ndim != 2 or L.shape[1] != R.shape[1]:
             raise ValueError("atom factors must be 2-D with matching counts")
-        for B in (L, R):
-            if B.size and not np.all(np.isfinite(B)):
-                raise ValueError("atom factors contain NaN or Inf")
-            if B.shape[1] and np.max(np.abs(np.linalg.norm(B, axis=0) - 1.0)) > UNIT_TOL:
-                raise ValueError("atom columns must have unit norm")
+        _check_unit_columns(L, R)
         object.__setattr__(self, "left", _readonly(L))
         object.__setattr__(self, "right", _readonly(R))
 
@@ -205,22 +200,20 @@ def _drop_small(s, U, V):
     return s[keep], U[:, keep], V[:, keep]
 
 
-def truncated_svd(M, k, mode="auto", tol=1e-10, seed=0, floor=0.0):
+def truncated_svd(M, k, mode="auto", seed=0, floor=0.0):
     """Leading ``k`` singular triplets of ``M``.
 
     Parameters
     ----------
-    M : ndarray, scipy sparse matrix, or scipy LinearOperator
-        The matrix, either explicit or given through matrix-vector
-        products.  LinearOperator input requires the lanczos path.
+    M : ndarray or scipy sparse matrix
     k : int
         Number of triplets requested (at least 1).  Fewer are returned
         if the numerical rank is below ``k``.
     mode : {"auto", "dense", "lanczos"}
         "auto" densifies when min(m, n) <= 400 and otherwise runs
-        Lanczos bidiagonalization; the explicit modes force one path.
-    tol : float
-        Relative residual tolerance for Ritz triplets in lanczos mode.
+        Lanczos bidiagonalization, which converges each Ritz triplet to
+        a relative residual of ``LANCZOS_TOL``; the explicit modes force
+        one path.
     seed : int
         Seed for the Lanczos start vector (results are deterministic).
     floor : float
@@ -239,31 +232,24 @@ def truncated_svd(M, k, mode="auto", tol=1e-10, seed=0, floor=0.0):
     shape = M.shape
     if mode not in SVD_MODES:
         raise ValueError(f"unknown svd mode: {mode!r}")
-    is_operator = isinstance(M, LinearOperator)
     if mode == "auto":
-        mode = "lanczos" if (is_operator or min(shape) > DENSE_FALLBACK_DIM) else "dense"
+        mode = "lanczos" if min(shape) > DENSE_FALLBACK_DIM else "dense"
 
     if mode == "dense":
-        if is_operator:
-            raise ValueError("dense mode needs an explicit matrix, not closures")
-        if sp.issparse(M):
-            M = M.toarray()
-        F = full_svd(M)
+        F = full_svd(M.toarray() if sp.issparse(M) else M)
         s, U, V = _drop_small(F.sigmas, F.left, F.right)
         kk = min(k, s.size)
         return FactoredMatrix(shape, s[:kk], U[:, :kk], V[:, :kk],
                               orthonormal=True)
 
-    # Explicit matrices multiply directly; only closures go through matvec.
-    matvec, rmatvec = ((M.matvec, M.rmatvec) if is_operator
-                       else (M.__matmul__, M.T.__matmul__))
+    matvec, rmatvec = M.__matmul__, M.T.__matmul__
     m, n = shape
     if m < n:
         # Orient the recurrence so the right-vector side is the short
         # one: exhausting it then genuinely determines the matrix.
-        s, V, U = _lanczos_svd(rmatvec, matvec, (n, m), min(k, m), tol, floor, seed)
+        s, V, U = _lanczos_svd(rmatvec, matvec, (n, m), min(k, m), floor, seed)
     else:
-        s, U, V = _lanczos_svd(matvec, rmatvec, shape, min(k, n), tol, floor, seed)
+        s, U, V = _lanczos_svd(matvec, rmatvec, shape, min(k, n), floor, seed)
     s, U, V = _drop_small(s, U, V)
     U, V = _fix_signs(U.copy(), V.copy())
     return FactoredMatrix(shape, s, U, V, orthonormal=True)
@@ -278,14 +264,16 @@ def _reorthogonalize(w, basis, ncols):
     return w
 
 
-def _lanczos_svd(matvec, rmatvec, shape, k, tol, floor, seed):
+def _lanczos_svd(matvec, rmatvec, shape, k, floor, seed):
     """Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization.
 
+    ``matvec`` and ``rmatvec`` multiply by the matrix and its transpose.
     After a first block of max(2k + 10, 16) steps, checks the Ritz
     residuals (trailing-beta bound) every ``CHECK_EVERY`` steps and stops
-    once each of the ``k`` leading triplets has a residual within ``tol``
-    of the top Ritz value, or a Ritz value plus ten residuals at most
-    ``floor``.  The budget is block * (10k + 1) steps, capped at min(m, n).
+    once each of the ``k`` leading triplets has a residual within
+    ``LANCZOS_TOL`` of the top Ritz value, or a Ritz value plus ten
+    residuals at most ``floor``.  The budget is block * (10k + 1) steps,
+    capped at min(m, n).
     An exact breakdown (zero recurrence norm) means an invariant subspace
     was found; the triplets in hand are then exact and are returned even
     if fewer than ``k``.
@@ -354,7 +342,8 @@ def _lanczos_svd(matvec, rmatvec, shape, k, tol, floor, seed):
             # Triplets at numerical-zero level need no further accuracy.  One
             # settles under the floor with a tenfold residual margin: a Ritz
             # value atop a dense cluster can mask a larger value not yet found.
-            settled = int(np.sum((resid <= tol * scale) | (s[:nk] + 10 * resid <= floor)
+            settled = int(np.sum((resid <= LANCZOS_TOL * scale)
+                                 | (s[:nk] + 10 * resid <= floor)
                                  | (s[:nk] <= RANK_TOL * scale)))
         if settled == nk:
             return s[:nk], U[:, :j] @ P[:, :nk], V[:, :cols] @ Qt[:nk].T

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import FactoredMatrix, check_dense
+from .linalg import FactoredMatrix, _reorthogonalize, check_dense
 
 
 # Gaussian operators whose frames would take more memory than this are
@@ -43,14 +43,16 @@ class MeasurementOperator(abc.ABC):
         return (self.m, self.n)
 
     def apply(self, X):
-        """Forward map.  Accepts dense arrays, factored matrices, and
-        scipy sparse matrices.  Factored inputs go through
-        :meth:`apply_combination`: entry sampling never forms the m-by-n
-        matrix, and the Gaussian map forms it as one m*n vector, which is
-        smaller than its p*m*n frames."""
-        if isinstance(X, FactoredMatrix):
-            if X.shape != self.shape:
-                raise ValueError("operator/matrix shape mismatch")
+        """Forward map of a dense array or a factored matrix.  Factored
+        inputs go through :meth:`apply_combination`: entry sampling never
+        forms the m-by-n matrix, and the Gaussian map forms it as one m*n
+        vector, which is smaller than its p*m*n frames."""
+        factored = isinstance(X, FactoredMatrix)
+        if not factored:
+            X = check_dense(X)
+        if X.shape != self.shape:
+            raise ValueError("operator/matrix shape mismatch")
+        if factored:
             return self.apply_combination(X.left, X.right, X.sigmas)
         return self._apply_explicit(X)
 
@@ -74,7 +76,7 @@ class MeasurementOperator(abc.ABC):
 
     @abc.abstractmethod
     def _apply_explicit(self, X):
-        """Forward map on a dense or scipy sparse matrix."""
+        """Forward map on a checked dense matrix of the operator's shape."""
 
     @abc.abstractmethod
     def adjoint(self, y):
@@ -118,13 +120,6 @@ class GaussianOperator(MeasurementOperator):
         self.frames = frames
 
     def _apply_explicit(self, X):
-        if sp.issparse(X):
-            if X.shape != self.shape:
-                raise ValueError("operator/matrix shape mismatch")
-            return np.asarray(self.frames @ X.reshape(self.m * self.n, 1).todense()).ravel()
-        X = check_dense(X)
-        if X.shape != self.shape:
-            raise ValueError("operator/matrix shape mismatch")
         return self.frames @ X.ravel()
 
     def apply_combination(self, left, right, coeffs):
@@ -184,7 +179,7 @@ class SamplingOperator(MeasurementOperator):
     its CSR layout, so :meth:`adjoint` only permutes its input.
     """
 
-    def __init__(self, m, n, rows, cols, seed=None):
+    def __init__(self, m, n, rows, cols):
         self.m, self.n = int(m), int(n)
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
@@ -211,14 +206,13 @@ class SamplingOperator(MeasurementOperator):
         for a in (rows, cols, order, indices, indptr):
             a.flags.writeable = False
         self.rows, self.cols = rows, cols
-        self.seed = seed
         self._order, self._indices, self._indptr = order, indices, indptr
 
     @classmethod
     def random(cls, m, n, p, seed=0):
         """Uniform sampling of ``p`` distinct entries."""
         flat = sample_indices_without_replacement(m * n, p, seed)
-        return cls(m, n, flat // n, flat % n, seed=seed)
+        return cls(m, n, flat // n, flat % n)
 
     @classmethod
     def identity(cls, m, n):
@@ -228,11 +222,6 @@ class SamplingOperator(MeasurementOperator):
         return cls(m, n, flat // n, flat % n)
 
     def _apply_explicit(self, X):
-        if X.shape != self.shape:
-            raise ValueError("operator/matrix shape mismatch")
-        if sp.issparse(X):
-            return np.asarray(X.tocsr()[self.rows, self.cols]).ravel()
-        X = check_dense(X)
         return X[self.rows, self.cols]
 
     def apply_combination(self, left, right, coeffs):
@@ -285,9 +274,7 @@ def _next_orthonormal(rng, basis, count):
     # Draw a random direction and orthogonalize it against the columns
     # already in `basis`; the draw order is rank-by-rank, so chains with
     # different maximum ranks share their leading samples.
-    w = rng.standard_normal(basis.shape[0])
-    for _ in range(2):
-        w -= basis[:, :count] @ (basis[:, :count].T @ w)
+    w = _reorthogonalize(rng.standard_normal(basis.shape[0]), basis, count)
     return w / np.linalg.norm(w)
 
 
@@ -320,10 +307,7 @@ def estimate_delta(op, r, trials, seed=0):
     up to ``r``.  Lower-rank samples are valid rank-``r`` witnesses, so
     estimates from the same seed are nondecreasing in ``r``.
     """
-    if r < 1 or trials < 1:
-        raise ValueError("need r >= 1 and trials >= 1")
-    dev = _nested_deviations(op, r, trials, seed)
-    return RipEstimate(r, float(dev.max()), trials, seed)
+    return estimate_delta_profile(op, r, trials, seed)[-1]
 
 
 def estimate_delta_profile(op, r_max, trials, seed=0):

@@ -28,7 +28,7 @@ import scipy.linalg
 
 from . import operators
 from .linalg import (AtomSet, FactoredMatrix, LanczosConvergenceError, best_rank_r,
-                     svd_of_factored, truncated_svd)
+                     check_dense, svd_of_factored, truncated_svd)
 
 # Columns whose pivot in R falls below this fraction of the largest
 # column norm get zero weight.  R comes from the Gram matrix, whose
@@ -104,7 +104,10 @@ def _run_iterations(op, b, iterates, max_iter, residual_tol, stop_rule,
     b = op._check_vec(b)
     track = ground_truth is not None
     if track:
-        ground_truth = np.asarray(ground_truth, dtype=np.float64)
+        ground_truth = check_dense(ground_truth, "ground truth")
+        if ground_truth.shape != op.shape:
+            raise ValueError(f"ground truth has shape {ground_truth.shape}, "
+                             f"the operator {op.shape}")
     best = FactoredMatrix.zero(*op.shape)
 
     b_norm = np.linalg.norm(b)

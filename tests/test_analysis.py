@@ -147,6 +147,14 @@ class TestSnr:
         assert snr_recon(3.0 * X0, 3.0 * Xh) == pytest.approx(
             snr_recon(X0, Xh), rel=1e-12)
 
+    @pytest.mark.parametrize("shape", [(1, 5), (4, 1), (5, 4)])
+    def test_mismatched_shapes_rejected(self, shape):
+        # (1, 5) and (4, 1) would broadcast against the 4x5 truth
+        with pytest.raises(ValueError, match="differ"):
+            snr_recon(np.ones((4, 5)), 0.9 * np.ones(shape))
+        with pytest.raises(ValueError, match="differ"):
+            snr_recon(np.ones((4, 5)), FactoredMatrix.zero(*shape))
+
     def test_zero_truth_rejected(self):
         with pytest.raises(ValueError):
             snr_recon(np.zeros((2, 2)), np.eye(2))

@@ -118,11 +118,11 @@ class TestSvtSolve:
         truncated_svd = baseline_mod.truncated_svd
         seeds = []
 
-        def stalls(M, k, mode="auto", tol=1e-10, seed=0, floor=0.0):
+        def stalls(M, k, mode="auto", seed=0, floor=0.0):
             seeds.append(seed)
             if len(set(seeds)) == stall_at:
                 raise LanczosConvergenceError(0, k, 3)
-            return truncated_svd(M, k, mode=mode, tol=tol, seed=seed, floor=floor)
+            return truncated_svd(M, k, mode=mode, seed=seed, floor=floor)
 
         spec = ProblemSpec(40, 40, 2, "sampling", 1000, None, seed=2)
         op, b, X0, _ = generate_problem(spec)

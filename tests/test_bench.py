@@ -18,10 +18,11 @@ from admira.bench import (
     solve_once,
     table1_measurement_count,
 )
-from admira import fileio
+from admira import baseline, fileio
 from admira.baseline import SvtConfig
 from admira.linalg import full_svd
 from admira.operators import GaussianOperator, SamplingOperator
+from admira.solver import SolverConfig
 
 
 class TestProblemSpec:
@@ -175,10 +176,12 @@ class TestSweepRowsPinned:
 
 
 class TestSweepRobustness:
-    def test_svt_divergence_is_a_row(self):
+    def test_svt_divergence_is_a_row(self, monkeypatch):
         # an oversized dual step makes SVT diverge; the trial records it
+        monkeypatch.setattr(baseline, "default_config",
+                            lambda m, n, p: SvtConfig(tau=1.0, step=5e3))
         record, report = run_trial(ProblemSpec(30, 30, 2, "sampling", 450, None, seed=1),
-                                   "svt", svt_config=SvtConfig(tau=1.0, step=5e3))
+                                   "svt")
         assert record.stop_reason == report.stop_reason == "divergence"
         assert record.iterations == report.iterations >= 1
 
@@ -240,8 +243,8 @@ class TestSolveOnce:
         spec = ProblemSpec(20, 20, 1, "sampling", 200, None, seed=0)
         op, b, X0, _ = generate_problem(spec)
         out = tmp_path / "run"
-        record = solve_once(op, b, "admira", str(out), X0=X0, rank=1,
-                            spec_hash=spec.hash())
+        record = solve_once(op, b, "admira", str(out), X0=X0,
+                            solver_config=SolverConfig(rank=1), spec_hash=spec.hash())
         assert (out / "solution.txt").exists()
         assert (out / "report.json").exists()
         report = json.loads((out / "report.json").read_text())
@@ -256,8 +259,10 @@ class TestSolveOnce:
     def test_rerun_bit_identical_solution(self, tmp_path):
         spec = ProblemSpec(20, 20, 1, "sampling", 200, None, seed=3)
         op, b, X0, _ = generate_problem(spec)
-        solve_once(op, b, "admira", str(tmp_path / "a"), X0=X0, rank=1)
-        solve_once(op, b, "admira", str(tmp_path / "b"), X0=X0, rank=1)
+        solve_once(op, b, "admira", str(tmp_path / "a"), X0=X0,
+                   solver_config=SolverConfig(rank=1))
+        solve_once(op, b, "admira", str(tmp_path / "b"), X0=X0,
+                   solver_config=SolverConfig(rank=1))
         text_a = (tmp_path / "a" / "solution.txt").read_text()
         text_b = (tmp_path / "b" / "solution.txt").read_text()
         assert text_a == text_b

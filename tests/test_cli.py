@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from admira.cli import build_parser, main
-from admira import bench, fileio
+from admira import bench, fileio, operators
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -86,6 +86,18 @@ class TestGenSolve:
         # iterate at zero, so the relative residual stays 1
         assert report["iterations"] == 3
         assert report["residual_trace"] == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("algo", ["admira", "svt"])
+    def test_ground_truth_of_wrong_size_exits_one(self, tmp_path, capsys, algo):
+        prob = tmp_path / "prob"
+        run_cli(["gen", "--m", "12", "--n", "10", "--rank", "1",
+                 "--operator", "sampling", "--density", "0.8",
+                 "--seed", "1", "--out", str(prob)])
+        fileio.write_dense_matrix(prob / "x0.txt", np.ones((1, 10)))
+        rc = run_cli(["solve", "--problem-dir", str(prob), "--algo", algo,
+                      "--out", str(tmp_path / "sol")])
+        assert rc == 1
+        assert "ground truth" in capsys.readouterr().err
 
     def test_svt_rejects_noisy_problem(self, tmp_path):
         prob = tmp_path / "prob"
@@ -184,6 +196,29 @@ class TestSweepCommands:
         deltas = [d["delta_lower"] for d in payload["delta_lower_bounds"]]
         assert len(deltas) == 2 and deltas[0] <= deltas[1]
         assert payload["inconsistent_checks"] == 0
+
+    def test_ripcheck_runs_the_monte_carlo_chain_once(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        nested = operators._nested_deviations
+
+        def counting(*args):
+            calls.append(args[1:])
+            return nested(*args)
+
+        monkeypatch.setattr(operators, "_nested_deviations", counting)
+        out = tmp_path / "rip.json"
+        rc = run_cli(["ripcheck", "--operator", "sampling", "--m", "6", "--n", "5",
+                      "--p", "20", "--r-max", "3", "--trials", "25",
+                      "--check-trials", "4", "--seed", "2", "--out", str(out)])
+        assert rc == 0
+        assert calls == [(3, 25, 2)]
+        payload = json.loads(out.read_text())
+        op = operators.SamplingOperator.random(6, 5, 20, seed=2)
+        expected = operators.estimate_delta_profile(op, 3, 25, seed=2)
+        assert payload["delta_lower_bounds"] == [
+            {"r": e.r, "delta_lower": e.delta_lower, "trials": 25} for e in expected]
+        assert capsys.readouterr().err.splitlines() == [
+            f"r={e.r}: delta_lower={e.delta_lower:.4f}" for e in expected]
 
     def test_missing_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc_info:

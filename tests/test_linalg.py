@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
-from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
+from admira import linalg
 from admira.baseline import _leading_above
 from admira.linalg import (
     AtomSet,
@@ -11,6 +11,7 @@ from admira.linalg import (
     LanczosConvergenceError,
     best_rank_r,
     full_svd,
+    is_orthonormal,
     svd_of_factored,
     truncated_svd,
 )
@@ -62,9 +63,16 @@ class TestFactoredMatrix:
             assert abs(dense_sq - np.sum(F.sigmas**2)) <= 1e-10 * dense_sq
 
     def test_zero(self):
+        # no columns: the factor checks pass, and an empty set is orthonormal
         Z = FactoredMatrix.zero(4, 5)
-        assert Z.k == 0 and Z.rank == 0
+        assert Z.k == 0 and Z.orthonormal
+        assert is_orthonormal(Z.left) and is_orthonormal(Z.right)
         assert np.all(Z.densify() == 0.0)
+        assert AtomSet.empty(4, 5).size == 0
+
+    def test_one_dimensional_factors_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            FactoredMatrix((3, 3), [1.0], np.eye(3)[:, 0], np.eye(3)[:, 0])
 
 
 class TestAtomSet:
@@ -151,17 +159,6 @@ class TestTruncatedSvd:
             assert F.k == 3
             np.testing.assert_allclose(F.sigmas, full_svd(M).sigmas[:3], rtol=1e-12)
             assert np.linalg.norm(F.densify() - M) <= 1e-12 * np.linalg.norm(M)
-
-    def test_matvec_closures_supported(self):
-        from scipy.sparse.linalg import LinearOperator
-
-        rng = np.random.default_rng(7)
-        M = rng.standard_normal((25, 18))
-        A = LinearOperator(M.shape, matvec=lambda w: M @ w,
-                           rmatvec=lambda w: M.T @ w)
-        lo = truncated_svd(A, 3)
-        hi = full_svd(M)
-        np.testing.assert_allclose(lo.sigmas, hi.sigmas[:3], rtol=1e-8)
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
@@ -256,17 +253,7 @@ class TestLanczosFloor:
         F = truncated_svd((U * s) @ V.T, 3, mode="lanczos", seed=seed, floor=tau)
         np.testing.assert_allclose(F.sigmas[F.sigmas > tau], s[:2], rtol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(60, 45), (45, 60)])
-    def test_sparse_products_bit_equal_to_operator(self, shape):
-        # m < n runs the recurrence on the transpose
-        S = sp.random(*shape, density=0.2, format="csr", random_state=3)
-        direct = truncated_svd(S, 4, mode="lanczos", seed=5)
-        wrapped = truncated_svd(aslinearoperator(S), 4, seed=5)
-        for a, b in ((direct.sigmas, wrapped.sigmas), (direct.left, wrapped.left),
-                     (direct.right, wrapped.right)):
-            np.testing.assert_array_equal(a, b)
-
-    def test_unreachable_tol_stops_at_step_budget(self):
+    def test_unreachable_tol_stops_at_step_budget(self, monkeypatch):
         # k = 2: blocks of max(2k + 10, 16) = 16 steps, budget 16 (10k + 1)
         # = 336 < min(m, n).  The second value settles under the floor; no
         # residual meets a negative tol (a converged one can be exactly 0).
@@ -276,15 +263,19 @@ class TestLanczosFloor:
         U = np.linalg.qr(rng.standard_normal((m, n)))[0]
         V = np.linalg.qr(rng.standard_normal((n, n)))[0]
         M = (U * s) @ V.T
+        # each step orthogonalizes one new left vector against the U basis
         steps = []
+        reorthogonalize = linalg._reorthogonalize
 
-        def matvec(x):
-            steps.append(1)
-            return M @ x
+        def counting(w, basis, ncols):
+            if basis.shape[0] == m:
+                steps.append(ncols)
+            return reorthogonalize(w, basis, ncols)
 
-        A = LinearOperator(M.shape, matvec=matvec, rmatvec=lambda y: M.T @ y, dtype=float)
+        monkeypatch.setattr(linalg, "_reorthogonalize", counting)
+        monkeypatch.setattr(linalg, "LANCZOS_TOL", -1.0)
         with pytest.raises(LanczosConvergenceError) as err:
-            truncated_svd(A, 2, tol=-1.0, floor=5.0)
+            truncated_svd(M, 2, mode="lanczos", floor=5.0)
         assert err.value.steps == len(steps) == 336
         assert (err.value.converged, err.value.requested) == (1, 2)
         assert "336" in str(err.value)

@@ -231,7 +231,7 @@ class TestAdjoint:
         op = SamplingOperator.random(6, 8, 20, seed=9)
         rng = np.random.default_rng(3)
         y = rng.standard_normal(20)
-        np.testing.assert_allclose(op.apply(op.adjoint(y)), y, rtol=1e-15)
+        np.testing.assert_allclose(op.apply(op.adjoint(y).toarray()), y, rtol=1e-15)
 
 
 class TestGaussianScaling:

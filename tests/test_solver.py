@@ -5,6 +5,7 @@ import pytest
 
 from admira.linalg import (AtomSet, FactoredMatrix, LanczosConvergenceError, best_rank_r,
                            full_svd)
+from admira.baseline import svt_solve
 from admira.operators import GaussianOperator, SamplingOperator
 from admira.solver import (
     SolverConfig,
@@ -122,7 +123,7 @@ class TestAdmiraSolve:
         assert report.stop_reason == "tol"
         err = np.linalg.norm(report.solution.densify() - X0)
         assert err <= 1e-3 * np.linalg.norm(X0)
-        assert report.solution.rank <= 2
+        assert report.solution.k <= 2
 
     def test_solution_rank_bounded(self):
         for seed in range(5):
@@ -159,6 +160,17 @@ class TestAdmiraSolve:
         np.testing.assert_array_equal(r1.residual_trace, r2.residual_trace)
         np.testing.assert_array_equal(r1.solution.sigmas, r2.solution.sigmas)
 
+    @pytest.mark.parametrize("ground_truth", [np.ones(5), np.ones((5, 4)), np.ones((1, 5)),
+                                              np.full((4, 5), np.nan)])
+    def test_rejects_mismatched_ground_truth(self, ground_truth):
+        # a broadcastable shape would give an error trace of the wrong matrix
+        op = GaussianOperator(4, 5, 30, seed=1)
+        b = op.apply(np.ones((4, 5)))
+        with pytest.raises(ValueError, match="ground truth"):
+            admira_solve(op, b, SolverConfig(rank=1), ground_truth=ground_truth)
+        with pytest.raises(ValueError, match="ground truth"):
+            svt_solve(SamplingOperator.identity(4, 5), np.ones(20), ground_truth=ground_truth)
+
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             SolverConfig(rank=0)
@@ -181,11 +193,11 @@ class TestInnerSolverFailures:
 
         seeds = []
 
-        def stalls_on_second_iteration(M, k, mode="auto", tol=1e-10, seed=0, floor=0.0):
+        def stalls_on_second_iteration(M, k, mode="auto", seed=0, floor=0.0):
             seeds.append(seed)
             if len(set(seeds)) == 2:
                 raise LanczosConvergenceError(0, k, 3)
-            return truncated_svd(M, k, mode=mode, tol=tol, seed=seed, floor=floor)
+            return truncated_svd(M, k, mode=mode, seed=seed, floor=floor)
 
         op, b, _ = gaussian_instance(0)
         first = self.first_iterate(op, b)
