@@ -40,7 +40,6 @@ from .operators import (
     MeasurementOperator,
     RipEstimate,
     SamplingOperator,
-    estimate_delta,
     estimate_delta_profile,
 )
 from .solver import (
@@ -72,7 +71,6 @@ __all__ = [
     "best_rank_r",
     "check_isometry_inequalities",
     "degrees_of_freedom",
-    "estimate_delta",
     "estimate_delta_profile",
     "full_svd",
     "generate_problem",

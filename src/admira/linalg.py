@@ -180,24 +180,28 @@ def _fix_signs(U, V):
     return U, V
 
 
+def _dense_svd(M, leading):
+    # LAPACK's thin SVD of a dense matrix, cut to its ``leading(s)``
+    # leading triplets before the sign fix and the FactoredMatrix checks.
+    M = check_dense(M)
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    k = leading(s)
+    U, V = _fix_signs(U[:, :k], Vt[:k].T.copy())
+    return FactoredMatrix(M.shape, s[:k], U, V, orthonormal=True)
+
+
 def full_svd(M):
     """Full singular value decomposition of a dense matrix.
 
     Returns an orthonormal :class:`FactoredMatrix` with min(m, n)
     triplets (zero singular values included), sigmas nonincreasing.
     """
-    M = check_dense(M)
-    m, n = M.shape
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    U, V = _fix_signs(U, Vt.T.copy())
-    return FactoredMatrix((m, n), s, U, V, orthonormal=True)
+    return _dense_svd(M, len)
 
 
-def _drop_small(s, U, V):
-    if s.size == 0 or s[0] <= 0.0:
-        return s[:0], U[:, :0], V[:, :0]
-    keep = s > RANK_TOL * s[0]
-    return s[keep], U[:, keep], V[:, keep]
+def _numerical_rank(s):
+    # The count of sorted singular values above RANK_TOL * s[0].
+    return int(np.count_nonzero(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
 
 
 def truncated_svd(M, k, mode="auto", seed=0, floor=0.0):
@@ -213,7 +217,8 @@ def truncated_svd(M, k, mode="auto", seed=0, floor=0.0):
         "auto" densifies when min(m, n) <= 400 and otherwise runs
         Lanczos bidiagonalization, which converges each Ritz triplet to
         a relative residual of ``LANCZOS_TOL``; the explicit modes force
-        one path.
+        one path.  The dense path takes LAPACK's full SVD but sign-fixes
+        and validates only the triplets it returns.
     seed : int
         Seed for the Lanczos start vector (results are deterministic).
     floor : float
@@ -236,11 +241,8 @@ def truncated_svd(M, k, mode="auto", seed=0, floor=0.0):
         mode = "lanczos" if min(shape) > DENSE_FALLBACK_DIM else "dense"
 
     if mode == "dense":
-        F = full_svd(M.toarray() if sp.issparse(M) else M)
-        s, U, V = _drop_small(F.sigmas, F.left, F.right)
-        kk = min(k, s.size)
-        return FactoredMatrix(shape, s[:kk], U[:, :kk], V[:, :kk],
-                              orthonormal=True)
+        return _dense_svd(M.toarray() if sp.issparse(M) else M,
+                          lambda s: min(k, _numerical_rank(s)))
 
     matvec, rmatvec = M.__matmul__, M.T.__matmul__
     m, n = shape
@@ -250,9 +252,9 @@ def truncated_svd(M, k, mode="auto", seed=0, floor=0.0):
         s, V, U = _lanczos_svd(rmatvec, matvec, (n, m), min(k, m), floor, seed)
     else:
         s, U, V = _lanczos_svd(matvec, rmatvec, shape, min(k, n), floor, seed)
-    s, U, V = _drop_small(s, U, V)
-    U, V = _fix_signs(U.copy(), V.copy())
-    return FactoredMatrix(shape, s, U, V, orthonormal=True)
+    r = _numerical_rank(s)
+    U, V = _fix_signs(U[:, :r].copy(), V[:, :r].copy())
+    return FactoredMatrix(shape, s[:r], U, V, orthonormal=True)
 
 
 def _reorthogonalize(w, basis, ncols):
@@ -367,9 +369,9 @@ def svd_of_factored(X):
     Qv, Rv = np.linalg.qr(X.right)
     core = (Ru * X.sigmas) @ Rv.T
     W, s, Zt = np.linalg.svd(core, full_matrices=False)
-    s, W, Z = _drop_small(s, W, Zt.T.copy())
-    U, V = _fix_signs(Qu @ W, Qv @ Z)
-    return FactoredMatrix((m, n), s, U, V, orthonormal=True)
+    r = _numerical_rank(s)
+    U, V = _fix_signs(Qu @ W[:, :r], Qv @ Zt.T.copy()[:, :r])
+    return FactoredMatrix((m, n), s[:r], U, V, orthonormal=True)
 
 
 def best_rank_r(X, r):

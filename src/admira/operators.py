@@ -298,20 +298,15 @@ def _nested_deviations(op, r_max, trials, seed):
     return dev
 
 
-def estimate_delta(op, r, trials, seed=0):
-    """Monte Carlo lower bound on the restricted isometry constant.
+def estimate_delta_profile(op, r_max, trials, seed=0):
+    """Monte Carlo lower bounds on the restricted isometry constant for
+    every rank 1..r_max.
 
     Each trial draws a nested chain of random unit-Frobenius samples of
-    ranks 1..r (rank s extends rank s-1 by one orthogonal triplet), and
-    the bound is the largest deviation |‖A X‖² − 1| seen at any rank
-    up to ``r``.  Lower-rank samples are valid rank-``r`` witnesses, so
-    estimates from the same seed are nondecreasing in ``r``.
+    ranks 1..r_max (rank s extends rank s-1 by one orthogonal triplet),
+    and the rank-r bound is the largest deviation |‖A X‖² − 1| seen at
+    any rank up to r, so the bounds are nondecreasing in r.
     """
-    return estimate_delta_profile(op, r, trials, seed)[-1]
-
-
-def estimate_delta_profile(op, r_max, trials, seed=0):
-    """Estimates for every rank 1..r_max, sharing one nested sample set."""
     if r_max < 1 or trials < 1:
         raise ValueError("need r_max >= 1 and trials >= 1")
     dev = _nested_deviations(op, r_max, trials, seed)

@@ -265,13 +265,17 @@ def _solve_qr(columns, b, K):
 
 def _solve_cgls(C, b):
     # CG on the normal equations; starting from zero keeps the iterates
-    # in the row space, hence minimum-norm at convergence.
+    # in the row space, hence minimum-norm at convergence.  Stops on
+    # LSQR's tests (Paige & Saunders 1982): ||r|| <= tol ||b||, or the
+    # backward error ||C^T r|| <= tol ||C|| ||r||, which unlike a target
+    # relative to ||C^T b|| stays above the rounding floor of C^T r.
     K = C.shape[1]
     max_iter = max(200, 10 * K)
+    tol = 1e-12
+    C_norm, b_norm = np.linalg.norm(C), np.linalg.norm(b)
     x = np.zeros(K)
     r = b.copy()
     s = C.T @ r
-    target = 1e-12 * np.linalg.norm(s)
     p = s.copy()
     gamma = float(s @ s)
     for _ in range(max_iter):
@@ -284,7 +288,8 @@ def _solve_cgls(C, b):
         r -= step * q
         s = C.T @ r
         gamma_new = float(s @ s)
-        if np.sqrt(gamma_new) <= target:
+        r_norm = np.linalg.norm(r)
+        if r_norm <= tol * b_norm or np.sqrt(gamma_new) <= tol * C_norm * r_norm:
             return x
         p = s + (gamma_new / gamma) * p
         gamma = gamma_new

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import admira.solver as solver_mod
 from admira import operators
@@ -198,6 +198,9 @@ def test_no_column_matrix_is_allocated():
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 12), n=st.integers(4, 12),
        K=st.integers(1, 8), sampling=st.booleans())
+# b nearly orthogonal to the one column: ||C^T b|| = 2.6e-6, so a CG target
+# of 1e-12 ||C^T b|| lay below the rounding floor of C^T r
+@example(seed=297, m=4, n=4, K=1, sampling=True)
 def test_methods_agree_on_well_conditioned_spans(seed, m, n, K, sampling):
     rng = np.random.default_rng(seed)
     p = 6 * m * n // 10 if sampling else 3 * m * n

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from admira import linalg
 from admira.baseline import _leading_above
@@ -120,7 +120,58 @@ class TestFullSvd:
             full_svd(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
+def low_rank_case(m, n, rank, seed):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    return M, M
+
+
+def csr_case(m, n, density, seed):
+    M = sp.random(m, n, density=density, format="csr", random_state=seed)
+    return M, M.toarray()
+
+
+@st.composite
+def svd_inputs(draw):
+    """A dense matrix of drawn rank (zero included) or a sparse CSR one,
+    either orientation, with its dense form."""
+    m, n = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return csr_case(m, n, draw(st.floats(0.0, 0.5)), seed)
+    return low_rank_case(m, n, draw(st.integers(0, min(m, n))), seed)
+
+
 class TestTruncatedSvd:
+    @settings(max_examples=80, deadline=None)
+    @given(svd_inputs(), st.integers(1, 12))
+    @example(low_rank_case(12, 9, 0, 0), 2)
+    @example(low_rank_case(12, 20, 3, 1), 7)
+    @example(low_rank_case(25, 6, 2, 2), 5)
+    @example(csr_case(7, 15, 0.2, 3), 4)
+    @example(csr_case(15, 7, 0.0, 4), 1)
+    def test_dense_path_is_leading_part_of_full_svd(self, case, k):
+        M, dense = case
+        F = truncated_svd(M, k, mode="dense")
+        ref = full_svd(dense)
+        q = min(k, int(np.sum(ref.sigmas > linalg.RANK_TOL * ref.sigmas[0])))
+        assert F.shape == dense.shape and F.k == q
+        for got, want in ((F.sigmas, ref.sigmas), (F.left, ref.left), (F.right, ref.right)):
+            assert np.array_equal(got, want[..., :q])
+
+    def test_dense_path_builds_only_what_it_returns(self, monkeypatch):
+        built = []
+        check = FactoredMatrix.__post_init__
+
+        def counting_check(self):
+            built.append(np.size(self.sigmas))
+            check(self)
+
+        monkeypatch.setattr(FactoredMatrix, "__post_init__", counting_check)
+        M = np.random.default_rng(1).standard_normal((60, 50))
+        assert truncated_svd(M, 3, mode="dense").k == 3
+        assert built == [3]
+
     def test_diagonal_truncation(self):
         F = truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
         np.testing.assert_allclose(F.sigmas, [3.0, 2.0])

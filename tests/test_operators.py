@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from admira import operators
 from admira.linalg import FactoredMatrix
@@ -9,7 +9,6 @@ from admira.operators import (
     GAUSSIAN_FRAME_LIMIT_BYTES,
     GaussianOperator,
     SamplingOperator,
-    estimate_delta,
     estimate_delta_profile,
     sample_indices_without_replacement,
 )
@@ -35,6 +34,26 @@ def random_low_rank(rng, m, n, k):
     return FactoredMatrix((m, n), s, U, V, orthonormal=True)
 
 
+def drawn_operator(kind, m, n, fraction, seed):
+    """An operator with about ``fraction`` of m*n measurements; a fraction
+    of 1 gives p = m*n, which for entry sampling is the identity."""
+    p = max(1, round(fraction * m * n))
+    if kind == "sampling" and p == m * n:
+        return SamplingOperator.identity(m, n)
+    return make_operator(kind, m, n, p, seed)
+
+
+operator_cases = given(m=st.integers(1, 10), n=st.integers(1, 10),
+                       fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+
+
+def orientation_examples(test):
+    # m < n, m > n and p = m*n, pinned
+    for m, n, fraction in ((3, 8, 0.5), (8, 3, 0.5), (4, 6, 1.0)):
+        test = example(m=m, n=n, fraction=fraction, seed=7)(test)
+    return test
+
+
 @pytest.fixture(params=["gaussian", "sampling"])
 def operator(request):
     if request.param == "gaussian":
@@ -52,14 +71,17 @@ class TestApply:
                                       np.zeros(40))
         assert np.all(operator.apply(FactoredMatrix.zero(9, 7)) == 0.0)
 
-    def test_factored_matches_densified(self, operator):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            F = random_low_rank(rng, 9, 7, 3)
-            dense_out = operator.apply(F.densify())
-            fact_out = operator.apply(F)
-            np.testing.assert_allclose(fact_out, dense_out,
-                                       atol=1e-12 * max(1.0, np.abs(dense_out).max()))
+    @pytest.mark.parametrize("kind", ["gaussian", "sampling"])
+    @settings(max_examples=60, deadline=None)
+    @orientation_examples
+    @operator_cases
+    def test_factored_matches_densified(self, kind, m, n, fraction, seed):
+        op = drawn_operator(kind, m, n, fraction, seed)
+        rng = np.random.default_rng(seed)
+        F = random_low_rank(rng, m, n, int(rng.integers(0, min(m, n, 4) + 1)))
+        dense_out = op.apply(F.densify())
+        np.testing.assert_allclose(op.apply(F), dense_out, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(dense_out).max()))
 
     @pytest.mark.parametrize("kind", ["gaussian", "sampling"])
     @pytest.mark.parametrize("m, n", [(5, 8), (8, 5)])
@@ -189,17 +211,20 @@ class TestAdjoint:
         with pytest.raises(ValueError):
             operator.adjoint(np.zeros(13))
 
-    def test_inner_product_identity(self, operator):
-        # <A X, y> == <X, A* y> over 100 random pairs
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            X = rng.standard_normal((9, 7))
-            y = rng.standard_normal(40)
-            lhs = operator.apply(X) @ y
-            back = operator.adjoint(y)
-            dense = back.toarray() if sp.issparse(back) else back
-            rhs = np.sum(X * dense)
-            assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+    @pytest.mark.parametrize("kind", ["gaussian", "sampling"])
+    @settings(max_examples=100, deadline=None)
+    @orientation_examples
+    @operator_cases
+    def test_inner_product_identity(self, kind, m, n, fraction, seed):
+        # <A X, y> == <X, A* y>
+        op = drawn_operator(kind, m, n, fraction, seed)
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((m, n))
+        y = rng.standard_normal(op.p)
+        back = op.adjoint(y)
+        dense = back.toarray() if sp.issparse(back) else back
+        assert dense.shape == (m, n)
+        assert op.apply(X) @ y == pytest.approx(np.sum(X * dense), rel=1e-10, abs=1e-12)
 
     @pytest.mark.parametrize("op", [
         SamplingOperator.random(9, 7, 40, seed=5),
@@ -354,7 +379,7 @@ class TestDeltaEstimate:
     def test_identity_vectorization_is_exact_isometry(self):
         op = SamplingOperator.identity(6, 5)
         for r in (1, 2, 3):
-            est = estimate_delta(op, r, trials=30, seed=0)
+            est = estimate_delta_profile(op, r, trials=30, seed=0)[-1]
             assert est.delta_lower <= 1e-12
 
     def test_nested_estimates_nondecreasing(self):
@@ -362,14 +387,14 @@ class TestDeltaEstimate:
         chain = estimate_delta_profile(op, 4, trials=50, seed=1)
         deltas = [e.delta_lower for e in chain]
         assert all(a <= b + 1e-15 for a, b in zip(deltas, deltas[1:]))
-        # single-rank calls agree with the shared-sample profile
+        # a shorter profile agrees with this one's prefix
         for e in chain:
-            single = estimate_delta(op, e.r, trials=50, seed=1)
+            single = estimate_delta_profile(op, e.r, trials=50, seed=1)[-1]
             assert single.delta_lower == pytest.approx(e.delta_lower, rel=1e-12)
 
     def test_gaussian_rank_one_against_power_iteration_oracle(self):
         op = GaussianOperator(10, 10, 2000, seed=2)
-        est = estimate_delta(op, 1, trials=500, seed=3)
+        est = estimate_delta_profile(op, 1, trials=500, seed=3)[-1]
         assert est.delta_lower < 0.5
         gmax, gmin = rank_one_gain_extremes(op.apply_rank_one, 10, 10,
                                             restarts=50, seed=4)
@@ -382,6 +407,6 @@ class TestDeltaEstimate:
     def test_invalid_args(self):
         op = SamplingOperator.identity(3, 3)
         with pytest.raises(ValueError):
-            estimate_delta(op, 0, trials=5)
+            estimate_delta_profile(op, 0, trials=5)
         with pytest.raises(ValueError):
-            estimate_delta(op, 1, trials=0)
+            estimate_delta_profile(op, 1, trials=0)
