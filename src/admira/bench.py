@@ -20,6 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from . import fileio
 from .analysis import snr_recon
 from .baseline import svt_solve
 from .operators import GaussianOperator, SamplingOperator, _rng
@@ -164,32 +165,45 @@ def _mean(records, field):
     return round(np.mean([getattr(x, field) for x in records]), 2)
 
 
-def _refuse_other_header(path, existing, line):
-    if existing and existing != line:
-        raise ValueError(f"{path} has header {existing!r}; "
-                         f"refusing to append rows under {line!r}")
+def csv_line(values):
+    """One CSV line, without its newline, of ``values`` as ``str`` gives them."""
+    return ",".join(str(v) for v in values)
 
 
-def _check_csv_header(path, header):
-    """Raise ``ValueError`` when ``path`` starts with another header, so a
-    sweep fails before running its trials rather than after."""
-    if os.path.exists(path):
-        with open(path) as fh:
-            _refuse_other_header(path, fh.readline().rstrip("\n"), ",".join(header))
-
-
-def _write_csv(path, header, rows):
-    """Append rows, writing ``header`` first when the file is new or empty.
-    A file that starts with another header raises ``ValueError`` untouched."""
-    line = ",".join(header)
-    with open(path, "a+") as fh:
+def _append_csv(path, header, rows=None):
+    """Append ``rows``, writing ``header`` first when the file is new or
+    empty.  A file that starts with another header raises ``ValueError``
+    untouched.  Without ``rows`` the header is only checked and no file
+    is made, so a sweep can fail before running its trials."""
+    if rows is None and not os.path.exists(path):
+        return
+    line = csv_line(header)
+    with open(path, "r" if rows is None else "a+") as fh:
         fh.seek(0)
         existing = fh.readline().rstrip("\n")
-        _refuse_other_header(path, existing, line)
-        if not existing:
-            fh.write(line + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+        if existing and existing != line:
+            raise ValueError(f"{path} has header {existing!r}; "
+                             f"refusing to append rows under {line!r}")
+        if rows is not None:
+            if not existing:
+                fh.write(line + "\n")
+            fh.writelines(csv_line(row) + "\n" for row in rows)
+
+
+def _sweep(header, pairs, row, trials, out_csv, workers):
+    """The steps every sweep shares.  Check the header of ``out_csv``,
+    run both cells of every ``(key, cell, cell)`` pair in one pool,
+    reduce each pair to ``row(key, records, records)`` and append the
+    rows.  Returns ``(header, rows)``."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if out_csv:
+        _append_csv(out_csv, header)
+    recs = _run_cells([cell for _, *cells in pairs for cell in cells], workers)
+    rows = [row(key, a, b) for (key, *_), a, b in zip(pairs, recs[::2], recs[1::2])]
+    if out_csv:
+        _append_csv(out_csv, header, rows)
+    return header, rows
 
 
 def run_table1(n_list, trials=20, out_csv=None, seed=0, workers=1):
@@ -207,22 +221,22 @@ def run_table1(n_list, trials=20, out_csv=None, seed=0, workers=1):
     # the published budget exceeds n^2 below n ~ 100; cap at full
     # observation so small smoke runs remain valid sampling problems
     grid = [(n, min(table1_measurement_count(n, rank), n * n)) for n in n_list]
-    cells = [([ProblemSpec(n, n, rank, "sampling", p, noise,
-                           seed=_trial_seed(seed, n, label, t))
-               for t in range(trials)], "admira", None)
-             for n, p in grid
-             for label, noise in (("noiseless", None), ("noisy", 20.0))]
-    if out_csv:
-        _check_csv_header(out_csv, header)
-    recs = _run_cells(cells, workers)
-    rows = [[n, round(p / n**2, 4), round(p / degrees_of_freedom(n, n, rank), 2),
-             _mean(quiet, "snr_recon_db"), _mean(quiet, "iterations"),
-             _mean(noisy, "snr_recon_db"), _mean(noisy, "iterations"), trials,
-             ProblemSpec(n, n, rank, "sampling", p, None, seed=seed).hash()]
-            for (n, p), quiet, noisy in zip(grid, recs[::2], recs[1::2])]
-    if out_csv:
-        _write_csv(out_csv, header, rows)
-    return header, rows
+
+    def cell(n, p, label, noise):
+        return ([ProblemSpec(n, n, rank, "sampling", p, noise,
+                             seed=_trial_seed(seed, n, label, t))
+                 for t in range(trials)], "admira", None)
+
+    pairs = [((n, p), cell(n, p, "noiseless", None), cell(n, p, "noisy", 20.0))
+             for n, p in grid]
+
+    def row(key, quiet, noisy):
+        n, p = key
+        return [n, round(p / n**2, 4), round(p / degrees_of_freedom(n, n, rank), 2),
+                _mean(quiet, "snr_recon_db"), _mean(quiet, "iterations"),
+                _mean(noisy, "snr_recon_db"), _mean(noisy, "iterations"), trials,
+                ProblemSpec(n, n, rank, "sampling", p, None, seed=seed).hash()]
+    return _sweep(header, pairs, row, trials, out_csv, workers)
 
 
 def run_table2(r_list=(2, 5, 10), density_list=(0.05, 0.10, 0.15, 0.20, 0.25, 0.30),
@@ -233,26 +247,21 @@ def run_table2(r_list=(2, 5, 10), density_list=(0.05, 0.10, 0.15, 0.20, 0.25, 0.
     divergence) are recorded, not raised."""
     header = ["r", "p_over_n2", "p_over_dr", "admira_snr_db", "svt_snr_db",
               "admira_iters", "svt_iters", "trials", "spec_hash"]
-    cells = []
+    pairs = []
     for r in r_list:
         admira_cfg = SolverConfig(rank=r)
         for density in density_list:
             specs = [ProblemSpec(n, n, r, "sampling", int(round(density * n * n)), None,
                                  seed=_trial_seed(seed, n, r, density, t))
                      for t in range(trials)]
-            cells += [(specs, "admira", admira_cfg), (specs, "svt", None)]
-    if out_csv:
-        _check_csv_header(out_csv, header)
-    recs = _run_cells(cells, workers)
-    rows = []
-    for (specs, *_), a, s in zip(cells[::2], recs[::2], recs[1::2]):
+            pairs.append((specs, (specs, "admira", admira_cfg), (specs, "svt", None)))
+
+    def row(specs, a, s):
         r, p = specs[0].rank, specs[0].p
-        rows.append([r, round(p / n**2, 4), round(p / degrees_of_freedom(n, n, r), 2),
-                     _mean(a, "snr_recon_db"), _mean(s, "snr_recon_db"),
-                     _mean(a, "iterations"), _mean(s, "iterations"), trials, specs[0].hash()])
-    if out_csv:
-        _write_csv(out_csv, header, rows)
-    return header, rows
+        return [r, round(p / n**2, 4), round(p / degrees_of_freedom(n, n, r), 2),
+                _mean(a, "snr_recon_db"), _mean(s, "snr_recon_db"),
+                _mean(a, "iterations"), _mean(s, "iterations"), trials, specs[0].hash()]
+    return _sweep(header, pairs, row, trials, out_csv, workers)
 
 
 SUCCESS_SNR_DB = 70.0
@@ -268,18 +277,16 @@ def run_phase(p_grid, r_grid, n=100, trials=10, out_csv=None, seed=0,
                                 seed=_trial_seed(seed, n, r, p, t))
                     for t in range(trials)])
             for r in r_grid for p in p_grid]
-    cells = [(specs, algo, None) for _, _, specs in grid for algo in ("admira", "svt")]
-    if out_csv:
-        _check_csv_header(out_csv, header)
-    recs = _run_cells(cells, workers)
-    rows = [[int(p), r, round(p / n**2, 4), round(p / degrees_of_freedom(n, n, r), 2),
-             sum(x.snr_recon_db >= SUCCESS_SNR_DB for x in a),
-             sum(x.snr_recon_db >= SUCCESS_SNR_DB for x in s),
-             trials, specs[0].hash()]
-            for (p, r, specs), a, s in zip(grid, recs[::2], recs[1::2])]
-    if out_csv:
-        _write_csv(out_csv, header, rows)
-    return header, rows
+    pairs = [((p, r, specs), (specs, "admira", None), (specs, "svt", None))
+             for p, r, specs in grid]
+
+    def row(key, a, s):
+        p, r, specs = key
+        return [int(p), r, round(p / n**2, 4), round(p / degrees_of_freedom(n, n, r), 2),
+                sum(x.snr_recon_db >= SUCCESS_SNR_DB for x in a),
+                sum(x.snr_recon_db >= SUCCESS_SNR_DB for x in s),
+                trials, specs[0].hash()]
+    return _sweep(header, pairs, row, trials, out_csv, workers)
 
 
 def _trial_seed(seed, *key):
@@ -292,7 +299,7 @@ TRIAL_CSV_HEADER = [f.name for f in dataclasses.fields(TrialRecord)]
 
 
 def solve_once(op, b, algo, out_dir, X0=None, solver_config=None,
-               svt_config=None, spec_hash="", trial_index=0):
+               svt_config=None, spec_hash=""):
     """Solve one instance and persist the outcome.
 
     Writes ``solution.txt`` (factored matrix), ``report.json`` (stop
@@ -300,12 +307,10 @@ def solve_once(op, b, algo, out_dir, X0=None, solver_config=None,
     ground truth is given), and appends one row to ``trials.csv``.
     Returns the :class:`TrialRecord`.
     """
-    from . import fileio  # local import keeps bench usable without file output
-
     os.makedirs(out_dir, exist_ok=True)
     report, wall = _solve(op, b, algo, solver_config or SolverConfig(rank=1),
                           svt_config, ground_truth=X0)
-    record = _record(spec_hash, trial_index, algo, X0, report, wall)
+    record = _record(spec_hash, 0, algo, X0, report, wall)
     fileio.write_factored_matrix(os.path.join(out_dir, "solution.txt"),
                                  report.solution)
     payload = {
@@ -322,6 +327,6 @@ def solve_once(op, b, algo, out_dir, X0=None, solver_config=None,
     }
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(payload, fh, indent=2)
-    _write_csv(os.path.join(out_dir, "trials.csv"), TRIAL_CSV_HEADER,
-               [dataclasses.astuple(record)])
+    _append_csv(os.path.join(out_dir, "trials.csv"), TRIAL_CSV_HEADER,
+                [dataclasses.astuple(record)])
     return record

@@ -11,6 +11,7 @@ harness errors exit nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -74,10 +75,7 @@ def cmd_gen(args):
     fileio.write_vector(os.path.join(args.out, "b.txt"), b)
     fileio.write_dense_matrix(os.path.join(args.out, "x0.txt"), X0)
     fileio.write_vector(os.path.join(args.out, "nu.txt"), nu)
-    meta = {"m": spec.m, "n": spec.n, "rank": spec.rank,
-            "operator": spec.operator, "p": spec.p,
-            "snr_meas_db": spec.snr_meas_db, "seed": spec.seed,
-            "spec_hash": spec.hash()}
+    meta = {**dataclasses.asdict(spec), "spec_hash": spec.hash()}
     with open(os.path.join(args.out, "problem.json"), "w") as fh:
         json.dump(meta, fh, indent=2)
     print(f"wrote problem {spec.hash()} to {args.out}")
@@ -122,29 +120,14 @@ def cmd_solve(args):
     return 0
 
 
-def cmd_table1(args):
-    header, rows = bench.run_table1(args.n_list, trials=args.trials,
-                                    out_csv=args.out, seed=args.seed,
-                                    workers=args.workers)
-    _print_table(header, rows)
-    return 0
-
-
-def cmd_table2(args):
-    header, rows = bench.run_table2(r_list=args.r_list,
-                                    density_list=args.density_list,
-                                    n=args.n, trials=args.trials,
-                                    out_csv=args.out, seed=args.seed,
-                                    workers=args.workers)
-    _print_table(header, rows)
-    return 0
-
-
-def cmd_phase(args):
-    header, rows = bench.run_phase(args.p_grid, args.r_grid, n=args.n,
-                                   trials=args.trials, out_csv=args.out,
-                                   seed=args.seed, workers=args.workers)
-    _print_table(header, rows)
+def cmd_sweep(args):
+    """Run the subcommand's sweep with its flags as keyword arguments and
+    print the header and rows as CSV."""
+    kwargs = {name: value for name, value in vars(args).items()
+              if name not in ("command", "func", "sweep")}
+    header, rows = args.sweep(**kwargs)
+    for row in [header, *rows]:
+        print(bench.csv_line(row))
     return 0
 
 
@@ -179,12 +162,6 @@ def cmd_ripcheck(args):
     return 0
 
 
-def _print_table(header, rows):
-    print(",".join(header))
-    for row in rows:
-        print(",".join(str(v) for v in row))
-
-
 def _positive_int(text):
     value = int(text)
     if value < 1:
@@ -198,6 +175,19 @@ def _int_list(text):
 
 def _float_list(text):
     return [float(tok) for tok in text.split(",") if tok]
+
+
+def _add_sweep(sub, name, sweep, trials, help):
+    """A sweep subcommand with the flags all sweeps share; each flag's
+    destination is the name of the ``sweep`` parameter it sets."""
+    sp = sub.add_parser(name, help=help)
+    sp.add_argument("--trials", type=_positive_int, default=trials)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--workers", type=_positive_int, default=1)
+    sp.add_argument("--out", dest="out_csv", metavar="OUT", default=None,
+                    help="CSV path (appends)")
+    sp.set_defaults(func=cmd_sweep, sweep=sweep)
+    return sp
 
 
 def build_parser():
@@ -229,35 +219,23 @@ def build_parser():
     s.add_argument("--step", type=float, default=None, help="svt step size")
     s.set_defaults(func=cmd_solve)
 
-    t1 = sub.add_parser("table1", help="completion sweep over matrix sizes")
+    t1 = _add_sweep(sub, "table1", bench.run_table1, 20,
+                    help="completion sweep over matrix sizes")
     t1.add_argument("--n-list", type=_int_list, default=[500],
                     help="comma-separated sizes, e.g. 500,1000")
-    t1.add_argument("--trials", type=int, default=20)
-    t1.add_argument("--seed", type=int, default=0)
-    t1.add_argument("--workers", type=_positive_int, default=1)
-    t1.add_argument("--out", default=None, help="CSV path (appends)")
-    t1.set_defaults(func=cmd_table1)
 
-    t2 = sub.add_parser("table2", help="head-to-head sweep vs the svt baseline")
+    t2 = _add_sweep(sub, "table2", bench.run_table2, 20,
+                    help="head-to-head sweep vs the svt baseline")
     t2.add_argument("--n", type=int, default=1000)
     t2.add_argument("--r-list", type=_int_list, default=[2, 5, 10])
     t2.add_argument("--density-list", type=_float_list,
                     default=[0.05, 0.10, 0.15, 0.20, 0.25, 0.30])
-    t2.add_argument("--trials", type=int, default=20)
-    t2.add_argument("--seed", type=int, default=0)
-    t2.add_argument("--workers", type=_positive_int, default=1)
-    t2.add_argument("--out", default=None, help="CSV path (appends)")
-    t2.set_defaults(func=cmd_table2)
 
-    ph = sub.add_parser("phase", help="success-count grid over (p, r)")
+    ph = _add_sweep(sub, "phase", bench.run_phase, 10,
+                    help="success-count grid over (p, r)")
     ph.add_argument("--n", type=int, default=100)
     ph.add_argument("--p-grid", type=_int_list, required=True)
     ph.add_argument("--r-grid", type=_int_list, required=True)
-    ph.add_argument("--trials", type=int, default=10)
-    ph.add_argument("--seed", type=int, default=0)
-    ph.add_argument("--workers", type=_positive_int, default=1)
-    ph.add_argument("--out", default=None, help="CSV path (appends)")
-    ph.set_defaults(func=cmd_phase)
 
     rc = sub.add_parser("ripcheck", help="isometry estimates and inequality checks")
     rc.add_argument("--operator", choices=["gaussian", "sampling"],

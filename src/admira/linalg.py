@@ -383,8 +383,6 @@ def best_rank_r(X, r):
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if r == 0:
-        return FactoredMatrix.zero(*X.shape)
     if not X.orthonormal:
         X = svd_of_factored(X)
     if r >= X.k:

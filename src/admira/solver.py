@@ -20,7 +20,7 @@ best iterate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -307,17 +307,15 @@ class RankSearchResult:
     report: SolverReport
 
 
-def rank_search(op, b, r_max, eta, config=None):
+def rank_search(op, b, r_max, eta):
     """Smallest target rank whose solve meets ``||b - A X|| <= eta ||b||``,
     trying ranks 1, 2, ..., ``r_max`` in order."""
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    if config is None:
-        config = SolverConfig(rank=1)
     for r in range(1, r_max + 1):
-        report = admira_solve(op, b, replace(config, rank=r))
+        report = admira_solve(op, b, SolverConfig(rank=r))
         if report.solution_residual <= eta:
             return RankSearchResult(True, r, report)
     return RankSearchResult(False, r_max, report)

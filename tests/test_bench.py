@@ -156,23 +156,44 @@ class TestSweeps:
 
 
 class TestSweepRowsPinned:
-    """Exact rows of three tiny sweeps at seed 0; any change to trial
-    seeding, job order or per-cell averaging shows here."""
+    """Exact rows and CSV bytes of three tiny sweeps at seed 0; any change
+    to trial seeding, job order, per-cell averaging or CSV formatting
+    shows here."""
 
-    def test_table1(self):
-        _, rows = run_table1([24], trials=2, seed=0)
+    @staticmethod
+    def sweep_twice(tmp_path, sweep, *args, **kwargs):
+        """Rows of ``sweep``, and the bytes of a CSV it appended to twice."""
+        out = tmp_path / "sweep.csv"
+        _, rows = sweep(*args, out_csv=str(out), **kwargs)
+        assert sweep(*args, out_csv=str(out), **kwargs)[1] == rows
+        return rows, out.read_bytes()
+
+    def test_table1(self, tmp_path):
+        rows, csv = self.sweep_twice(tmp_path, run_table1, [24], trials=2, seed=0)
         assert rows == [[24, 1.0, 6.26, 300.0, 1.0, 28.62, 2.0, 2, "a4b6e740e514"]]
+        assert csv == (b"n,p_over_n2,p_over_dr,snr_noiseless_db,iters_noiseless,"
+                       b"snr_noisy_db,iters_noisy,trials,spec_hash\n"
+                       + b"24,1.0,6.26,300.0,1.0,28.62,2.0,2,a4b6e740e514\n" * 2)
 
-    def test_table2(self):
-        _, rows = run_table2(r_list=[1], density_list=[0.5], n=20, trials=2, seed=0)
+    def test_table2(self, tmp_path):
+        rows, csv = self.sweep_twice(tmp_path, run_table2, r_list=[1], density_list=[0.5],
+                                     n=20, trials=2, seed=0)
         assert rows == [[1, 0.5, 5.13, 74.78, 73.94, 55.0, 183.5, 2, "c475277a3ab6"]]
+        assert csv == (b"r,p_over_n2,p_over_dr,admira_snr_db,svt_snr_db,admira_iters,"
+                       b"svt_iters,trials,spec_hash\n"
+                       + b"1,0.5,5.13,74.78,73.94,55.0,183.5,2,c475277a3ab6\n" * 2)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_phase(self, workers):
+    def test_phase(self, tmp_path, workers):
         # both algorithms' trials of both cells share one pool
-        _, rows = run_phase([150, 300], [1], n=20, trials=3, seed=0, workers=workers)
+        rows, csv = self.sweep_twice(tmp_path, run_phase, [150, 300], [1], n=20, trials=3,
+                                     seed=0, workers=workers)
         assert rows == [[150, 1, 0.375, 3.85, 0, 0, 3, "56b7e46c2f92"],
                         [300, 1, 0.75, 7.69, 3, 2, 3, "29cc7315435c"]]
+        assert csv == (b"p,r,p_over_n2,p_over_dr,admira_successes,svt_successes,"
+                       b"trials,spec_hash\n"
+                       + (b"150,1,0.375,3.85,0,0,3,56b7e46c2f92\n"
+                          b"300,1,0.75,7.69,3,2,3,29cc7315435c\n") * 2)
 
 
 class TestSweepRobustness:
@@ -232,6 +253,24 @@ class TestSweepRobustness:
         with pytest.raises(ValueError, match="header"):
             run_phase([200], [1], n=20, trials=1, out_csv=str(out), seed=0)
         assert out.read_bytes() == before
+
+    def test_trials_below_one_rejected_before_csv(self, tmp_path):
+        out = tmp_path / "phase.csv"
+        with pytest.raises(ValueError, match="trials"):
+            run_phase([200], [1], n=20, trials=0, out_csv=str(out), seed=0)
+        assert not out.exists()
+
+    def test_failed_sweep_leaves_new_csv_absent(self, tmp_path, monkeypatch):
+        # the header check before the trials must not create the file
+        out = tmp_path / "table1.csv"
+
+        def failing(job):
+            raise RuntimeError("trial failed")
+
+        monkeypatch.setattr(bench, "_trial_record", failing)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            run_table1([20], trials=1, out_csv=str(out), seed=0)
+        assert not out.exists()
 
     def test_trial_csv_header(self):
         assert TRIAL_CSV_HEADER == ["spec_hash", "trial", "algo", "snr_recon_db",

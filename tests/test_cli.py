@@ -146,9 +146,10 @@ class TestSweepCommands:
         rc = run_cli(["table1", "--n-list", "20", "--trials", "1",
                       "--seed", "0", "--out", str(out)])
         assert rc == 0
-        assert out.exists()
         printed = capsys.readouterr().out
         assert printed.startswith("n,")
+        # stdout and a new CSV carry the same lines
+        assert printed == out.read_text()
 
     def test_phase_exit_zero_with_failed_cells(self, tmp_path):
         # p below the information limit: all trials fail, command still 0
@@ -166,13 +167,27 @@ class TestSweepCommands:
         assert "admira_snr_db" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["table1", "table2", "phase"])
-    @pytest.mark.parametrize("workers", ["0", "-2"])
-    def test_workers_below_one_is_usage_error(self, command, workers, capsys):
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_workers_below_one_is_usage_error(self, command, value, capsys):
+        # --trials is held to the same floor as --workers
         extra = ["--p-grid", "200", "--r-grid", "1"] if command == "phase" else []
-        with pytest.raises(SystemExit) as exc_info:
-            run_cli([command, "--workers", workers, *extra])
-        assert exc_info.value.code == 2
-        assert "--workers" in capsys.readouterr().err
+        for flag in ("--workers", "--trials"):
+            with pytest.raises(SystemExit) as exc_info:
+                run_cli([command, flag, value, *extra])
+            assert exc_info.value.code == 2
+            assert flag in capsys.readouterr().err
+
+    def test_sweep_defaults(self):
+        parse = build_parser().parse_args
+        t1, t2 = parse(["table1"]), parse(["table2"])
+        ph = parse(["phase", "--p-grid", "200", "--r-grid", "1"])
+        assert (t1.trials, t2.trials, ph.trials) == (20, 20, 10)
+        assert (t2.n, ph.n) == (1000, 100)
+        assert t1.n_list == [500]
+        assert t2.r_list == [2, 5, 10]
+        assert t2.density_list == [0.05, 0.10, 0.15, 0.20, 0.25, 0.30]
+        for args in (t1, t2, ph):
+            assert (args.seed, args.workers, args.out_csv) == (0, 1, None)
 
     def test_csv_with_other_header_exits_one(self, tmp_path, capsys):
         out = tmp_path / "mixed.csv"
@@ -261,8 +276,10 @@ class TestSolveSeed:
         assert run_cli(["gen", "--m", "20", "--n", "16", "--rank", "2",
                         "--operator", "sampling", "--density", "0.6",
                         "--out", str(out)]) == 0
-        meta = json.loads((out / "problem.json").read_text())
-        assert meta["seed"] == 0 and meta["spec_hash"] == "41ae0c773a58"
+        assert (out / "problem.json").read_text() == (
+            '{\n  "m": 20,\n  "n": 16,\n  "rank": 2,\n  "operator": "sampling",\n'
+            '  "p": 192,\n  "snr_meas_db": null,\n  "seed": 0,\n'
+            '  "spec_hash": "41ae0c773a58"\n}')
 
 
 class TestReadmeFlags:
