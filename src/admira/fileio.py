@@ -64,14 +64,12 @@ def write_factored_matrix(path, F):
 def read_factored_matrix(path):
     with open(path) as fh:
         m, n, k = (int(tok) for tok in fh.readline().split())
-        sigmas = np.zeros(k)
-        left = np.zeros((m, k))
-        right = np.zeros((n, k))
-        for j in range(k):
-            sigmas[j] = float(fh.readline())
-            left[:, j] = np.array(fh.readline().split(), dtype=np.float64)
-            right[:, j] = np.array(fh.readline().split(), dtype=np.float64)
-    return FactoredMatrix((m, n), sigmas, left, right,
+        lines = [np.array(fh.readline().split(), dtype=np.float64) for _ in range(3 * k)]
+        if [v.size for v in lines] != [1, m, n] * k or fh.read().strip():
+            raise ValueError(f"{path}: expected {k} blocks of 1, {m} and {n} entries")
+    sigmas, left, right = (np.array(lines[i::3]).reshape(k, size).T
+                           for i, size in enumerate((1, m, n)))
+    return FactoredMatrix((m, n), sigmas[0], left, right,
                           orthonormal=is_orthonormal(left) and is_orthonormal(right))
 
 

@@ -20,8 +20,8 @@ RANK_TOL = 1e-12
 UNIT_TOL = 1e-10
 ORTHO_TOL = 1e-8
 # Matrices with min(m, n) at or below this use a dense SVD; larger ones
-# go through the Lanczos path.
-DENSE_FALLBACK_DIM = 400
+# go through the Lanczos path, which is faster from about here up.
+DENSE_FALLBACK_DIM = 80
 # Lanczos steps between Ritz-residual checks after the first block.
 CHECK_EVERY = 4
 # Relative residual at which a Lanczos Ritz triplet counts as converged.
@@ -214,11 +214,12 @@ def truncated_svd(M, k, mode="auto", seed=0, floor=0.0):
         Number of triplets requested (at least 1).  Fewer are returned
         if the numerical rank is below ``k``.
     mode : {"auto", "dense", "lanczos"}
-        "auto" densifies when min(m, n) <= 400 and otherwise runs
-        Lanczos bidiagonalization, which converges each Ritz triplet to
-        a relative residual of ``LANCZOS_TOL``; the explicit modes force
-        one path.  The dense path takes LAPACK's full SVD but sign-fixes
-        and validates only the triplets it returns.
+        "auto" densifies when min(m, n) <= ``DENSE_FALLBACK_DIM`` and
+        otherwise runs Lanczos bidiagonalization, which converges each
+        Ritz triplet to a relative residual of ``LANCZOS_TOL``; the
+        explicit modes force one path.  The dense path takes LAPACK's
+        full SVD but sign-fixes and validates only the triplets it
+        returns.
     seed : int
         Seed for the Lanczos start vector (results are deterministic).
     floor : float
@@ -296,6 +297,7 @@ def _lanczos_svd(matvec, rmatvec, shape, k, floor, seed):
     v /= np.linalg.norm(v)
     j, target = 0, block
     exhausted, extra = False, 0
+    amax = 0.0  # running max of alphas[:j + 1]
 
     while True:
         if target > alloc:
@@ -310,16 +312,17 @@ def _lanczos_svd(matvec, rmatvec, shape, k, floor, seed):
             if j > 0:
                 w -= betas[j - 1] * U[:, j - 1]
             w = _reorthogonalize(w, U, j)
-            alphas[j] = np.linalg.norm(w)
-            if alphas[j] <= max(m, n) * 1e-15 * (alphas[: j + 1].max() + 1e-300):
+            alphas[j] = np.sqrt(w @ w)
+            amax = max(amax, alphas[j])
+            if alphas[j] <= max(m, n) * 1e-15 * (amax + 1e-300):
                 exhausted, extra = True, 1
                 break
             U[:, j] = w / alphas[j]
             w = rmatvec(U[:, j]) - alphas[j] * v
             w = _reorthogonalize(w, V, j + 1)
-            betas[j] = np.linalg.norm(w)
+            betas[j] = np.sqrt(w @ w)
             j += 1
-            if betas[j - 1] <= max(m, n) * 1e-15 * alphas[:j].max():
+            if betas[j - 1] <= max(m, n) * 1e-15 * amax:
                 exhausted = True
                 break
             v = w / betas[j - 1]

@@ -130,7 +130,8 @@ def _run_iterations(op, b, iterates, max_iter, residual_tol, stop_rule,
         res = float(np.linalg.norm(rvec) / b_norm)
         residual_trace.append(res)
         if track:
-            error_trace.append(float(np.linalg.norm(ground_truth - X.densify())))
+            D = X.densify()
+            error_trace.append(float(np.linalg.norm(np.subtract(ground_truth, D, out=D))))
         if res <= best_residual:
             best, best_residual = X, res
         stop_reason = "tol" if res < residual_tol else stop_rule(residual_trace)

@@ -165,6 +165,20 @@ class TestEmptyAndInvalid:
         with pytest.raises(ValueError, match="expected 2x2 entries"):
             fileio.read_operator(path)
 
+    BLOCK = ["2.5", "0.6 0.8 0", "1 0"]
+
+    @pytest.mark.parametrize("k, lines", [(1, BLOCK + BLOCK),
+                                          (1, ["2.5", "0.6 0.8", "1 0"]),
+                                          (2, BLOCK)],
+                             ids=["block after the last", "short left vector",
+                                  "missing block"])
+    def test_malformed_factored_matrix_rejected(self, tmp_path, k, lines):
+        path = tmp_path / "f.txt"
+        path.write_text("\n".join([f"3 2 {k}"] + lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            fileio.read_factored_matrix(path)
+        assert str(err.value) == f"{path}: expected {k} blocks of 1, 3 and 2 entries"
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_vector_writer_refuses_what_the_reader_refuses(self, tmp_path, bad):
         path = tmp_path / "v.txt"

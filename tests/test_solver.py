@@ -119,11 +119,16 @@ class TestAdmiraSolve:
 
     def test_gaussian_noiseless_recovery(self):
         op, b, X0 = gaussian_instance(0)
+        before = X0.copy()
         report = admira_solve(op, b, SolverConfig(rank=2), ground_truth=X0)
         assert report.stop_reason == "tol"
         err = np.linalg.norm(report.solution.densify() - X0)
         assert err <= 1e-3 * np.linalg.norm(X0)
         assert report.solution.k <= 2
+        # a tol stop ends at the best iterate; the error trace subtracts
+        # into the densified iterate, never into the caller's X0
+        assert report.error_trace[-1] == np.linalg.norm(X0 - report.solution.densify())
+        np.testing.assert_array_equal(X0, before)
 
     def test_solution_rank_bounded(self):
         for seed in range(5):
