@@ -64,12 +64,18 @@ def write_factored_matrix(path, F):
 def read_factored_matrix(path):
     with open(path) as fh:
         m, n, k = (int(tok) for tok in fh.readline().split())
-        lines = [np.array(fh.readline().split(), dtype=np.float64) for _ in range(3 * k)]
-        if [v.size for v in lines] != [1, m, n] * k or fh.read().strip():
-            raise ValueError(f"{path}: expected {k} blocks of 1, {m} and {n} entries")
-    sigmas, left, right = (np.array(lines[i::3]).reshape(k, size).T
-                           for i, size in enumerate((1, m, n)))
-    return FactoredMatrix((m, n), sigmas[0], left, right,
+        bad = ValueError(f"{path}: expected {k} blocks of 1, {m} and {n} entries")
+        if min(m, n, k) < 0:
+            raise bad
+        sigmas, left, right = np.zeros(k), np.zeros((m, k)), np.zeros((n, k))
+        for j in range(k):
+            sigma, u, v = (np.array(fh.readline().split(), dtype=np.float64) for _ in range(3))
+            if (sigma.size, u.size, v.size) != (1, m, n):
+                raise bad
+            sigmas[j], left[:, j], right[:, j] = sigma[0], u, v
+        if fh.read().strip():
+            raise bad
+    return FactoredMatrix((m, n), sigmas, left, right,
                           orthonormal=is_orthonormal(left) and is_orthonormal(right))
 
 

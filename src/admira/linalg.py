@@ -19,9 +19,11 @@ import scipy.sparse as sp
 RANK_TOL = 1e-12
 UNIT_TOL = 1e-10
 ORTHO_TOL = 1e-8
-# Matrices with min(m, n) at or below this use a dense SVD; larger ones
-# go through the Lanczos path, which is faster from about here up.
-DENSE_FALLBACK_DIM = 80
+# Truncated SVDs with min(m, n) above this always take the Lanczos path.
+# Smaller ones take it only above LANCZOS_BLOCK_RATIO times its first block
+# of max(2k + 10, 16) steps; below that LAPACK's full SVD is faster.
+DENSE_FALLBACK_DIM = 400
+LANCZOS_BLOCK_RATIO = 6
 # Lanczos steps between Ritz-residual checks after the first block.
 CHECK_EVERY = 4
 # Relative residual at which a Lanczos Ritz triplet counts as converged.
@@ -214,12 +216,11 @@ def truncated_svd(M, k, mode="auto", seed=0, floor=0.0):
         Number of triplets requested (at least 1).  Fewer are returned
         if the numerical rank is below ``k``.
     mode : {"auto", "dense", "lanczos"}
-        "auto" densifies when min(m, n) <= ``DENSE_FALLBACK_DIM`` and
-        otherwise runs Lanczos bidiagonalization, which converges each
-        Ritz triplet to a relative residual of ``LANCZOS_TOL``; the
-        explicit modes force one path.  The dense path takes LAPACK's
-        full SVD but sign-fixes and validates only the triplets it
-        returns.
+        "auto" takes the dense path or Lanczos bidiagonalization by the
+        rule at ``DENSE_FALLBACK_DIM``; Lanczos converges each Ritz
+        triplet to a relative residual of ``LANCZOS_TOL``.  The explicit
+        modes force one path.  The dense path takes LAPACK's full SVD but
+        sign-fixes and validates only the triplets it returns.
     seed : int
         Seed for the Lanczos start vector (results are deterministic).
     floor : float
@@ -239,7 +240,8 @@ def truncated_svd(M, k, mode="auto", seed=0, floor=0.0):
     if mode not in SVD_MODES:
         raise ValueError(f"unknown svd mode: {mode!r}")
     if mode == "auto":
-        mode = "lanczos" if min(shape) > DENSE_FALLBACK_DIM else "dense"
+        dense_up_to = min(DENSE_FALLBACK_DIM, LANCZOS_BLOCK_RATIO * max(2 * k + 10, 16))
+        mode = "lanczos" if min(shape) > dense_up_to else "dense"
 
     if mode == "dense":
         return _dense_svd(M.toarray() if sp.issparse(M) else M,

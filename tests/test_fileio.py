@@ -169,9 +169,10 @@ class TestEmptyAndInvalid:
 
     @pytest.mark.parametrize("k, lines", [(1, BLOCK + BLOCK),
                                           (1, ["2.5", "0.6 0.8", "1 0"]),
-                                          (2, BLOCK)],
+                                          (2, BLOCK),
+                                          (-1, [])],
                              ids=["block after the last", "short left vector",
-                                  "missing block"])
+                                  "missing block", "negative block count"])
     def test_malformed_factored_matrix_rejected(self, tmp_path, k, lines):
         path = tmp_path / "f.txt"
         path.write_text("\n".join([f"3 2 {k}"] + lines) + "\n")
