@@ -11,6 +11,7 @@ frames are regenerated from the seed).  Vector: one decimal per line.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -29,12 +30,23 @@ def _write_lines(fh, rows, fmt="%.17g"):
         fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
-def _read_rows(fh, path, shape, dtype=np.float64):
+def _names_path(read):
+    """Prefix the path to every ``ValueError`` the reader raises."""
+    @functools.wraps(read)
+    def reader(path):
+        try:
+            return read(path)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from err
+    return reader
+
+
+def _read_rows(fh, shape, dtype=np.float64):
     """The rest of ``fh`` as an array of ``shape``.  An empty one is not
     left to loadtxt, which warns on no data and gives shape (0, 1)."""
     X = np.loadtxt(fh, dtype=dtype, ndmin=2) if 0 not in shape else np.zeros(shape, dtype)
     if X.shape != shape or (0 in shape and fh.read().strip()):
-        raise ValueError(f"{path}: expected {shape[0]}x{shape[1]} entries")
+        raise ValueError(f"expected {shape[0]}x{shape[1]} entries")
     return X
 
 
@@ -46,10 +58,11 @@ def write_dense_matrix(path, X):
         _write_lines(fh, X)
 
 
+@_names_path
 def read_dense_matrix(path):
     with open(path) as fh:
         m, n = (int(tok) for tok in fh.readline().split())
-        return check_dense(_read_rows(fh, path, (m, n)), name=str(path))
+        return check_dense(_read_rows(fh, (m, n)))
 
 
 def write_factored_matrix(path, F):
@@ -61,10 +74,11 @@ def write_factored_matrix(path, F):
                 _write_lines(fh, values[None, :])
 
 
+@_names_path
 def read_factored_matrix(path):
     with open(path) as fh:
         m, n, k = (int(tok) for tok in fh.readline().split())
-        bad = ValueError(f"{path}: expected {k} blocks of 1, {m} and {n} entries")
+        bad = ValueError(f"expected {k} blocks of 1, {m} and {n} entries")
         if min(m, n, k) < 0:
             raise bad
         sigmas, left, right = np.zeros(k), np.zeros((m, k)), np.zeros((n, k))
@@ -90,17 +104,17 @@ def write_operator(path, op):
             raise TypeError(f"cannot serialize operator of type {type(op).__name__}")
 
 
+@_names_path
 def read_operator(path):
     with open(path) as fh:
-        head = fh.readline().split()
+        head = [int(tok) for tok in fh.readline().split()]
         if len(head) == 4:
-            m, n, p, seed = (int(tok) for tok in head)
-            return GaussianOperator(m, n, p, seed=seed)
+            return GaussianOperator(*head[:3], seed=head[3])
         if len(head) == 3:
-            m, n, p = (int(tok) for tok in head)
-            pairs = _read_rows(fh, path, (p, 2), dtype=np.int64)
+            m, n, p = head
+            pairs = _read_rows(fh, (p, 2), dtype=np.int64)
             return SamplingOperator(m, n, pairs[:, 0] - 1, pairs[:, 1] - 1)
-    raise ValueError(f"{path}: unrecognized operator header")
+    raise ValueError("unrecognized operator header")
 
 
 def write_vector(path, y):
@@ -109,9 +123,10 @@ def write_vector(path, y):
         _write_lines(fh, y)
 
 
+@_names_path
 def read_vector(path):
     # loadtxt warns on an empty file, which is how an empty vector is written
     y = np.loadtxt(path, dtype=np.float64, ndmin=1) if os.path.getsize(path) else np.zeros(0)
     if not np.all(np.isfinite(y)):
-        raise ValueError(f"{path}: vector contains NaN or Inf")
+        raise ValueError("vector contains NaN or Inf")
     return y

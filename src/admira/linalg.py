@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 # Singular values below RANK_TOL * sigma_1 count as numerically zero.
@@ -24,6 +25,9 @@ ORTHO_TOL = 1e-8
 # of max(2k + 10, 16) steps; below that LAPACK's full SVD is faster.
 DENSE_FALLBACK_DIM = 400
 LANCZOS_BLOCK_RATIO = 6
+# Floored truncated SVDs with min(m, n) up to this try _gram_svd first.
+GRAM_MAX_DIM = 128
+GRAM_MAX_RATIO = 1e3
 # Lanczos steps between Ritz-residual checks after the first block.
 CHECK_EVERY = 4
 # Relative residual at which a Lanczos Ritz triplet counts as converged.
@@ -216,17 +220,20 @@ def truncated_svd(M, k, mode="auto", seed=0, floor=0.0):
         Number of triplets requested (at least 1).  Fewer are returned
         if the numerical rank is below ``k``.
     mode : {"auto", "dense", "lanczos"}
-        "auto" takes the dense path or Lanczos bidiagonalization by the
-        rule at ``DENSE_FALLBACK_DIM``; Lanczos converges each Ritz
-        triplet to a relative residual of ``LANCZOS_TOL``.  The explicit
-        modes force one path.  The dense path takes LAPACK's full SVD but
-        sign-fixes and validates only the triplets it returns.
+        "auto" takes the min-side Gram matrix's eigenpairs above
+        ``floor**2`` if ``floor > 0``, min(m, n) <= ``GRAM_MAX_DIM`` and
+        sigma_1 <= ``GRAM_MAX_RATIO * floor``, else the dense path or
+        Lanczos by the rule at ``DENSE_FALLBACK_DIM``.  Lanczos converges
+        each Ritz triplet to a relative residual of ``LANCZOS_TOL``.  The
+        explicit modes force one of the last two.  The dense path takes
+        LAPACK's full SVD but sign-fixes and validates only its triplets.
     seed : int
         Seed for the Lanczos start vector (results are deterministic).
     floor : float
         Lanczos mode stops refining a triplet once its Ritz value plus
         ten times its residual bound is at or below ``floor``, so triplets
-        below ``floor`` may come back unconverged.  0 refines all.
+        below ``floor`` may come back unconverged; the Gram path returns
+        only those above ``floor``.  0 refines all.
 
     Raises
     ------
@@ -239,6 +246,10 @@ def truncated_svd(M, k, mode="auto", seed=0, floor=0.0):
     shape = M.shape
     if mode not in SVD_MODES:
         raise ValueError(f"unknown svd mode: {mode!r}")
+    if mode == "auto" and floor > 0 and min(shape) <= GRAM_MAX_DIM:
+        F = _gram_svd(check_dense(M.toarray() if sp.issparse(M) else M), k, floor)
+        if F is not None:
+            return F
     if mode == "auto":
         dense_up_to = min(DENSE_FALLBACK_DIM, LANCZOS_BLOCK_RATIO * max(2 * k + 10, 16))
         mode = "lanczos" if min(shape) > dense_up_to else "dense"
@@ -258,6 +269,25 @@ def truncated_svd(M, k, mode="auto", seed=0, floor=0.0):
     r = _numerical_rank(s)
     U, V = _fix_signs(U[:, :r].copy(), V[:, :r].copy())
     return FactoredMatrix(shape, s[:r], U, V, orthonormal=True)
+
+
+def _gram_svd(M, k, floor):
+    # Triplets above floor from the eigenpairs (lam, z) above floor**2 of
+    # G = T^T T, T = M or M^T with the short side last: sigma = sqrt(lam) and
+    # the other side T z normalized.  Eigenpair residuals c eps sigma_1**2 put
+    # its inner products z_i^T G z_j / (sigma_i sigma_j) at delta_ij + O(eps
+    # (sigma_1 / floor)**2): at most eps 1e6 ~ 2.2e-10 < ORTHO_TOL when sigma_1
+    # <= GRAM_MAX_RATIO floor = 1e3 floor, else None is returned.
+    T = M if M.shape[0] >= M.shape[1] else M.T
+    lam, Z = scipy.linalg.eigh(T.T @ T, subset_by_value=(floor**2, np.inf),
+                               driver="evr", check_finite=False)
+    if lam.size and lam[-1] > (GRAM_MAX_RATIO * floor)**2:
+        return None
+    s, Z = np.sqrt(lam[::-1][:k]), Z[:, ::-1][:, :k]
+    W = T @ Z
+    W /= np.linalg.norm(W, axis=0)
+    U, V = _fix_signs(*((W, Z) if T is M else (Z, W)))
+    return FactoredMatrix(M.shape, s, U, V, orthonormal=True)
 
 
 def _reorthogonalize(w, basis, ncols):

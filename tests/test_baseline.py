@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from admira import linalg
 from admira.analysis import snr_recon
 from admira.baseline import SvtConfig, default_config, soft_threshold_factored, svt_solve
 from admira.bench import ProblemSpec, generate_problem
@@ -108,6 +109,20 @@ class TestSvtSolve:
         tail = trace[len(trace) // 2:]
         assert tail[-1] <= tail[0]
         assert report.solution_residual == pytest.approx(trace.min(), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_gram_path_matches_the_old_route(self, monkeypatch, seed):
+        # SVT's 100x100 SVDs solve the Gram matrix; with that path off they
+        # take Lanczos or LAPACK's SVD by k, and the solve is the same to 1e-8
+        spec = ProblemSpec(100, 100, 2, "sampling", 5000, None, seed=seed)
+        op, b, X0, _ = generate_problem(spec)
+        gram = svt_solve(op, b)
+        monkeypatch.setattr(linalg, "GRAM_MAX_DIM", 0)
+        old = svt_solve(op, b)
+        assert (gram.iterations, gram.stop_reason) == (old.iterations, old.stop_reason)
+        assert old.stop_reason == "tol"
+        X, Y = gram.solution.densify(), old.solution.densify()
+        assert np.linalg.norm(X - Y) <= 1e-8 * np.linalg.norm(Y)
 
     @pytest.mark.parametrize("stall_at", [2, 3])
     def test_svd_stall_keeps_best_iterate(self, monkeypatch, stall_at):

@@ -180,6 +180,21 @@ class TestEmptyAndInvalid:
             fileio.read_factored_matrix(path)
         assert str(err.value) == f"{path}: expected {k} blocks of 1, 3 and 2 entries"
 
+    @pytest.mark.parametrize("read, text, message", [
+        (fileio.read_factored_matrix, "3 2\n", "not enough values to unpack"),
+        (fileio.read_factored_matrix, "1 1 1\nabc\n1\n1\n", "could not convert"),
+        (fileio.read_dense_matrix, "1 2\n1 x\n", "could not convert"),
+        (fileio.read_operator, "sampling 3 3\n", "invalid literal for int()"),
+        (fileio.read_vector, "1\nfoo\n", "could not convert"),
+    ], ids=["factored header", "factored entry", "dense entry", "operator header",
+            "vector entry"])
+    def test_malformed_input_names_the_file(self, tmp_path, read, text, message):
+        path = tmp_path / "in.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read(path)
+        assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_vector_writer_refuses_what_the_reader_refuses(self, tmp_path, bad):
         path = tmp_path / "v.txt"
