@@ -59,22 +59,7 @@ def soft_threshold_factored(F, tau):
     each retained value by exactly ``tau``."""
     keep = F.sigmas > tau
     return FactoredMatrix(F.shape, F.sigmas[keep] - tau,
-                          F.left[:, keep], F.right[:, keep],
-                          orthonormal=F.orthonormal)
-
-
-def _leading_above(Y, tau, hint, seed):
-    # All singular triplets of Y above tau: grow the truncation until the
-    # smallest computed value dips under the threshold or rank runs out.
-    # floor=tau leaves triplets below tau unconverged; they are only
-    # compared with tau here, and soft_threshold_factored drops them.
-    minmn = min(Y.shape)
-    k = min(max(hint, 1), minmn)
-    while True:
-        F = truncated_svd(Y, k, seed=seed, floor=tau)
-        if F.k < k or F.sigmas[-1] <= tau or k == minmn:
-            return F
-        k = min(k + 5, minmn)
+                          F.left[:, keep], F.right[:, keep])
 
 
 def svt_solve(op, b, config=None, ground_truth=None):
@@ -112,7 +97,8 @@ def _svt_iterates(op, config):
     y_dual = np.zeros(op.p)
     rank_hint = 1
     for it in itertools.count(1):
-        F = _leading_above(op.adjoint(y_dual), config.tau, rank_hint, seed=it)
+        # Every triplet above tau; the last rank only sets where the search starts.
+        F = truncated_svd(op.adjoint(y_dual), rank_hint, seed=it, floor=config.tau)
         X = soft_threshold_factored(F, config.tau)
         rank_hint = X.k + 1
         rvec = yield X

@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .linalg import FactoredMatrix, check_dense, is_orthonormal
+from .linalg import FactoredMatrix, check_dense
 from .operators import BLOCK_ROWS, GaussianOperator, SamplingOperator
 
 
@@ -81,6 +81,9 @@ def read_factored_matrix(path):
         bad = ValueError(f"expected {k} blocks of 1, {m} and {n} entries")
         if min(m, n, k) < 0:
             raise bad
+        if 2 * k * (1 + m + n) > os.path.getsize(path):  # 2+ bytes per entry
+            raise ValueError(f"header declares {k * (1 + m + n)} entries, more than "
+                             f"the file's {os.path.getsize(path)} bytes can hold")
         sigmas, left, right = np.zeros(k), np.zeros((m, k)), np.zeros((n, k))
         for j in range(k):
             sigma, u, v = (np.array(fh.readline().split(), dtype=np.float64) for _ in range(3))
@@ -89,8 +92,7 @@ def read_factored_matrix(path):
             sigmas[j], left[:, j], right[:, j] = sigma[0], u, v
         if fh.read().strip():
             raise bad
-    return FactoredMatrix((m, n), sigmas, left, right,
-                          orthonormal=is_orthonormal(left) and is_orthonormal(right))
+    return FactoredMatrix((m, n), sigmas, left, right)
 
 
 def write_operator(path, op):

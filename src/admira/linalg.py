@@ -11,6 +11,7 @@ and re-orthonormalize factored matrices without forming the dense product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -93,16 +94,16 @@ class FactoredMatrix:
     """A sum of weighted rank-one terms ``sum_k sigmas[k] * left[:,k] right[:,k]^T``.
 
     ``left`` is m-by-k and ``right`` is n-by-k with unit-norm columns;
-    ``sigmas`` is nonnegative and sorted nonincreasing.  When
-    ``orthonormal`` is set the columns of ``left`` (and of ``right``) are
-    mutually orthogonal, i.e. the triplets are singular triplets.
+    ``sigmas`` is nonnegative and sorted nonincreasing.  ``orthonormal``
+    says whether the columns of ``left`` (and of ``right``) are mutually
+    orthogonal to within ``ORTHO_TOL``, i.e. the triplets are singular
+    triplets; it is worked out from the factors on first use.
     """
 
     shape: tuple[int, int]
     sigmas: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    orthonormal: bool = False
 
     def __post_init__(self):
         m, n = self.shape
@@ -116,8 +117,6 @@ class FactoredMatrix:
         if L.shape != (m, sig.size) or R.shape != (n, sig.size):
             raise ValueError("factor shape mismatch")
         _check_unit_columns(L, R)
-        if self.orthonormal and not (is_orthonormal(L) and is_orthonormal(R)):
-            raise ValueError("factors are not orthonormal")
         object.__setattr__(self, "sigmas", _readonly(sig))
         object.__setattr__(self, "left", _readonly(L))
         object.__setattr__(self, "right", _readonly(R))
@@ -125,8 +124,12 @@ class FactoredMatrix:
     @classmethod
     def zero(cls, m, n):
         """The zero matrix: an empty list of rank-one terms."""
-        return cls((m, n), np.zeros(0), np.zeros((m, 0)), np.zeros((n, 0)),
-                   orthonormal=True)
+        return cls((m, n), np.zeros(0), np.zeros((m, 0)), np.zeros((n, 0)))
+
+    @cached_property
+    def orthonormal(self):
+        """Whether both factors have orthonormal columns (``is_orthonormal``)."""
+        return is_orthonormal(self.left) and is_orthonormal(self.right)
 
     @property
     def k(self):
@@ -175,25 +178,26 @@ class AtomSet:
                        np.hstack([self.right, other.right]))
 
 
-def _fix_signs(U, V):
-    # Normalize each pair so the largest-magnitude entry of the left
-    # vector is positive; the sign flip is absorbed by the right vector.
-    for j in range(U.shape[1]):
-        i = int(np.argmax(np.abs(U[:, j])))
-        if U[i, j] < 0:
-            U[:, j] = -U[:, j]
-            V[:, j] = -V[:, j]
-    return U, V
+def _svd_result(shape, s, U, V, r):
+    # The one exit of every SVD routine: keep the r leading triplets, flip
+    # each pair in place so that the largest-magnitude entry of its left
+    # vector is positive, and refuse factors that are not orthonormal.
+    U, V = U[:, :r], V[:, :r]
+    for j in range(r):
+        if U[np.argmax(np.abs(U[:, j])), j] < 0:
+            U[:, j], V[:, j] = -U[:, j], -V[:, j]
+    F = FactoredMatrix(shape, s[:r], U, V)
+    if not F.orthonormal:
+        raise ValueError("factors are not orthonormal")
+    return F
 
 
 def _dense_svd(M, leading):
     # LAPACK's thin SVD of a dense matrix, cut to its ``leading(s)``
-    # leading triplets before the sign fix and the FactoredMatrix checks.
+    # leading triplets before the sign fix and the checks.
     M = check_dense(M)
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    k = leading(s)
-    U, V = _fix_signs(U[:, :k], Vt[:k].T.copy())
-    return FactoredMatrix(M.shape, s[:k], U, V, orthonormal=True)
+    return _svd_result(M.shape, s, U, Vt.T, leading(s))
 
 
 def full_svd(M):
@@ -211,14 +215,16 @@ def _numerical_rank(s):
 
 
 def truncated_svd(M, k, mode="auto", seed=0, floor=0.0):
-    """Leading ``k`` singular triplets of ``M``.
+    """Leading singular triplets of ``M``: the ``k`` leading ones, or with
+    ``floor > 0`` every one above ``floor``.
 
     Parameters
     ----------
     M : ndarray or scipy sparse matrix
     k : int
-        Number of triplets requested (at least 1).  Fewer are returned
-        if the numerical rank is below ``k``.
+        At least 1.  Without a floor, the number of triplets requested
+        (fewer if the numerical rank is lower); with ``floor > 0``, only
+        the number the search starts from.
     mode : {"auto", "dense", "lanczos"}
         "auto" takes the min-side Gram matrix's eigenpairs above
         ``floor**2`` if ``floor > 0``, min(m, n) <= ``GRAM_MAX_DIM`` and
@@ -230,10 +236,9 @@ def truncated_svd(M, k, mode="auto", seed=0, floor=0.0):
     seed : int
         Seed for the Lanczos start vector (results are deterministic).
     floor : float
-        Lanczos mode stops refining a triplet once its Ritz value plus
-        ten times its residual bound is at or below ``floor``, so triplets
-        below ``floor`` may come back unconverged; the Gram path returns
-        only those above ``floor``.  0 refines all.
+        If positive, every triplet above ``floor`` is returned and no other.
+        Lanczos stops refining a triplet once its Ritz value plus ten times
+        its residual bound is at or below ``floor``.
 
     Raises
     ------
@@ -247,16 +252,19 @@ def truncated_svd(M, k, mode="auto", seed=0, floor=0.0):
     if mode not in SVD_MODES:
         raise ValueError(f"unknown svd mode: {mode!r}")
     if mode == "auto" and floor > 0 and min(shape) <= GRAM_MAX_DIM:
-        F = _gram_svd(check_dense(M.toarray() if sp.issparse(M) else M), k, floor)
+        F = _gram_svd(check_dense(M.toarray() if sp.issparse(M) else M), floor)
         if F is not None:
             return F
     if mode == "auto":
         dense_up_to = min(DENSE_FALLBACK_DIM, LANCZOS_BLOCK_RATIO * max(2 * k + 10, 16))
         mode = "lanczos" if min(shape) > dense_up_to else "dense"
 
+    def leading(s):
+        # the k leading values or every one above the floor, up to the rank
+        return min(int(np.count_nonzero(s > floor)) if floor > 0 else k, _numerical_rank(s))
+
     if mode == "dense":
-        return _dense_svd(M.toarray() if sp.issparse(M) else M,
-                          lambda s: min(k, _numerical_rank(s)))
+        return _dense_svd(M.toarray() if sp.issparse(M) else M, leading)
 
     matvec, rmatvec = M.__matmul__, M.T.__matmul__
     m, n = shape
@@ -266,13 +274,11 @@ def truncated_svd(M, k, mode="auto", seed=0, floor=0.0):
         s, V, U = _lanczos_svd(rmatvec, matvec, (n, m), min(k, m), floor, seed)
     else:
         s, U, V = _lanczos_svd(matvec, rmatvec, shape, min(k, n), floor, seed)
-    r = _numerical_rank(s)
-    U, V = _fix_signs(U[:, :r].copy(), V[:, :r].copy())
-    return FactoredMatrix(shape, s[:r], U, V, orthonormal=True)
+    return _svd_result(shape, s, U, V, leading(s))
 
 
-def _gram_svd(M, k, floor):
-    # Triplets above floor from the eigenpairs (lam, z) above floor**2 of
+def _gram_svd(M, floor):
+    # Every triplet above floor from the eigenpairs (lam, z) above floor**2 of
     # G = T^T T, T = M or M^T with the short side last: sigma = sqrt(lam) and
     # the other side T z normalized.  Eigenpair residuals c eps sigma_1**2 put
     # its inner products z_i^T G z_j / (sigma_i sigma_j) at delta_ij + O(eps
@@ -283,11 +289,12 @@ def _gram_svd(M, k, floor):
                                driver="evr", check_finite=False)
     if lam.size and lam[-1] > (GRAM_MAX_RATIO * floor)**2:
         return None
-    s, Z = np.sqrt(lam[::-1][:k]), Z[:, ::-1][:, :k]
+    s = np.sqrt(lam[::-1])
+    q = int(np.count_nonzero(s > floor))
+    Z = Z[:, ::-1][:, :q]
     W = T @ Z
     W /= np.linalg.norm(W, axis=0)
-    U, V = _fix_signs(*((W, Z) if T is M else (Z, W)))
-    return FactoredMatrix(M.shape, s, U, V, orthonormal=True)
+    return _svd_result(M.shape, s, *((W, Z) if T is M else (Z, W)), q)
 
 
 def _reorthogonalize(w, basis, ncols):
@@ -307,11 +314,11 @@ def _lanczos_svd(matvec, rmatvec, shape, k, floor, seed):
     residuals (trailing-beta bound) every ``CHECK_EVERY`` steps and stops
     once each of the ``k`` leading triplets has a residual within
     ``LANCZOS_TOL`` of the top Ritz value, or a Ritz value plus ten
-    residuals at most ``floor``.  The budget is block * (10k + 1) steps,
-    capped at min(m, n).
-    An exact breakdown (zero recurrence norm) means an invariant subspace
-    was found; the triplets in hand are then exact and are returned even
-    if fewer than ``k``.
+    residuals at most ``floor``; while the k-th is above a positive
+    ``floor``, k grows by five and the recurrence goes on.  The budget is
+    block * (10k + 1) steps, capped at min(m, n).  Once the Krylov space
+    is complete (an exact breakdown, i.e. a zero recurrence norm, or
+    min(m, n) steps), every Ritz triplet is exact and all are returned.
     """
     m, n = shape
     minmn = min(m, n)
@@ -359,9 +366,6 @@ def _lanczos_svd(matvec, rmatvec, shape, k, floor, seed):
                 break
             v = w / betas[j - 1]
 
-        if j == 0:
-            return np.zeros(0), np.zeros((m, 0)), np.zeros((n, 0))
-
         # Ritz triplets of the upper bidiagonal core B = U_j^T A V_cols:
         # A V_j = U_j B holds exactly, A^T U_j = V_j B^T + beta_j v_{j+1} e_j^T.
         # A zero alpha makes span(V_{j+1}) invariant, so B keeps v_j's column.
@@ -370,21 +374,27 @@ def _lanczos_svd(matvec, rmatvec, shape, k, floor, seed):
         np.fill_diagonal(B, alphas[:j])
         np.fill_diagonal(B[:, 1:], betas[:cols - 1])
         P, s, Qt = np.linalg.svd(B)
-        nk = min(k, j)
-        settled = nk
-        if not (exhausted or j == minmn):
-            # || A^T x_i - s_i y_i || = beta_j * |P[j-1, i]|
-            resid = betas[j - 1] * np.abs(P[j - 1, :nk])
-            scale = s[0] if s[0] > 0 else 1.0
-            # Triplets at numerical-zero level need no further accuracy.  One
-            # settles under the floor with a tenfold residual margin: a Ritz
-            # value atop a dense cluster can mask a larger value not yet found.
-            settled = int(np.sum((resid <= LANCZOS_TOL * scale)
-                                 | (s[:nk] + 10 * resid <= floor)
-                                 | (s[:nk] <= RANK_TOL * scale)))
-        if settled == nk:
-            return s[:nk], U[:, :j] @ P[:, :nk], V[:, :cols] @ Qt[:nk].T
-        if j == budget:
+        if exhausted or j == minmn:
+            # The Krylov space is complete and every Ritz triplet exact; more
+            # than k of them may lie above the floor, so all are returned.
+            return s, U[:, :j] @ P, V[:, :cols] @ Qt[:j].T
+        # || A^T x_i - s_i y_i || = beta_j * |P[j-1, i]|
+        resid = betas[j - 1] * np.abs(P[j - 1, :k])
+        scale = s[0] if s[0] > 0 else 1.0
+        # Triplets at numerical-zero level need no further accuracy.  One
+        # settles under the floor with a tenfold residual margin: a Ritz
+        # value atop a dense cluster can mask a larger value not yet found.
+        settled = int(np.sum((resid <= LANCZOS_TOL * scale)
+                             | (s[:k] + 10 * resid <= floor)
+                             | (s[:k] <= RANK_TOL * scale)))
+        if settled == k:
+            if not 0 < floor < s[k - 1]:
+                return s[:k], U[:, :j] @ P[:, :k], V[:, :cols] @ Qt[:k].T
+            # All k settled above the floor, so more may lie above it:
+            # extend the same recurrence to five more triplets.
+            k = min(k + 5, minmn)
+            budget = min(minmn, max(2 * k + 10, 16) * (10 * k + 1))
+        elif j == budget:
             raise LanczosConvergenceError(settled, k, j)
         target = min(budget, j + CHECK_EVERY)
 
@@ -397,16 +407,12 @@ def svd_of_factored(X):
     never formed.  Numerically zero singular values are dropped, so the
     zero matrix comes back with no triplets.
     """
-    m, n = X.shape
-    if X.k == 0 or X.sigmas[0] == 0.0:
-        return FactoredMatrix.zero(m, n)
     Qu, Ru = np.linalg.qr(X.left)
     Qv, Rv = np.linalg.qr(X.right)
     core = (Ru * X.sigmas) @ Rv.T
     W, s, Zt = np.linalg.svd(core, full_matrices=False)
     r = _numerical_rank(s)
-    U, V = _fix_signs(Qu @ W[:, :r], Qv @ Zt.T.copy()[:, :r])
-    return FactoredMatrix((m, n), s[:r], U, V, orthonormal=True)
+    return _svd_result(X.shape, s, Qu @ W[:, :r], Qv @ Zt.T.copy()[:, :r], r)
 
 
 def best_rank_r(X, r):
@@ -422,5 +428,4 @@ def best_rank_r(X, r):
         X = svd_of_factored(X)
     if r >= X.k:
         return X
-    return FactoredMatrix(X.shape, X.sigmas[:r], X.left[:, :r], X.right[:, :r],
-                          orthonormal=True)
+    return FactoredMatrix(X.shape, X.sigmas[:r], X.left[:, :r], X.right[:, :r])

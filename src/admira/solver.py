@@ -95,6 +95,12 @@ def _derived_seed(seed, salt):
     return int(np.random.SeedSequence((seed, salt)).generate_state(1)[0])
 
 
+def _norm(v, out=None):
+    # The 2-norm by numpy's pairwise sum, whose bits, unlike np.linalg.norm's
+    # BLAS dot, do not depend on the thread count.  ``out=v`` squares in place.
+    return float(np.sqrt(np.sum(np.multiply(v, v, out=out))))
+
+
 def _run_iterations(op, b, iterates, max_iter, residual_tol, stop_rule,
                     ground_truth=None):
     """The one iteration loop.  ``iterates(b)`` is a generator that
@@ -110,7 +116,7 @@ def _run_iterations(op, b, iterates, max_iter, residual_tol, stop_rule,
                              f"the operator {op.shape}")
     best = FactoredMatrix.zero(*op.shape)
 
-    b_norm = np.linalg.norm(b)
+    b_norm = _norm(b)
     if b_norm == 0.0:
         return SolverReport(best, 0, np.zeros(0), np.zeros(0) if track else None,
                             "tol", 0.0)
@@ -127,11 +133,11 @@ def _run_iterations(op, b, iterates, max_iter, residual_tol, stop_rule,
             stop_reason = "svd_stall"
             break
         rvec = b - op.apply(X)
-        res = float(np.linalg.norm(rvec) / b_norm)
+        res = _norm(rvec) / b_norm
         residual_trace.append(res)
         if track:
             D = X.densify()
-            error_trace.append(float(np.linalg.norm(np.subtract(ground_truth, D, out=D))))
+            error_trace.append(_norm(np.subtract(ground_truth, D, out=D), out=D))
         if res <= best_residual:
             best, best_residual = X, res
         stop_reason = "tol" if res < residual_tol else stop_rule(residual_trace)
@@ -221,8 +227,7 @@ def least_squares_on_span(op, b, atoms, method="qr"):
     signs = np.where(alpha < 0, -1.0, 1.0)
     order = np.argsort(-np.abs(alpha), kind="stable")
     return FactoredMatrix((m, n), np.abs(alpha)[order],
-                          (atoms.left * signs)[:, order],
-                          atoms.right[:, order], orthonormal=False)
+                          (atoms.left * signs)[:, order], atoms.right[:, order])
 
 
 def _solve_qr(columns, b, K):

@@ -124,6 +124,34 @@ class TestSvtSolve:
         X, Y = gram.solution.densify(), old.solution.densify()
         assert np.linalg.norm(X - Y) <= 1e-8 * np.linalg.norm(Y)
 
+    @pytest.mark.parametrize("n, p, route", [(100, 5000, "_gram_svd"),
+                                             (300, 27000, "_lanczos_svd")])
+    def test_one_svd_per_iteration(self, monkeypatch, n, p, route):
+        # truncated_svd returns every triplet above tau itself, so no
+        # iteration repeats its SVD, whichever route the size takes
+        import admira.baseline as baseline_mod
+
+        calls = {"truncated_svd": [], route: []}
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def call(*args, **kwargs):
+                result = real(*args, **kwargs)
+                calls[name].append((args, result))
+                return result
+            monkeypatch.setattr(module, name, call)
+
+        spy(baseline_mod, "truncated_svd")
+        spy(linalg, route)
+        spec = ProblemSpec(n, n, 2, "sampling", p, None, seed=2)
+        op, b, X0, _ = generate_problem(spec)
+        report = svt_solve(op, b)
+        assert report.stop_reason == "tol"
+        assert len(calls["truncated_svd"]) == len(calls[route]) == report.iterations
+        # some call returned more triplets than the k it started from
+        assert any(F.k > args[1] for args, F in calls["truncated_svd"])
+
     @pytest.mark.parametrize("stall_at", [2, 3])
     def test_svd_stall_keeps_best_iterate(self, monkeypatch, stall_at):
         # SVT's first iterate is zero (the dual starts at zero); a stall

@@ -20,7 +20,7 @@ from admira.bench import (
 )
 from admira import baseline, fileio
 from admira.baseline import SvtConfig
-from admira.linalg import full_svd
+from admira.linalg import FactoredMatrix, full_svd
 from admira.operators import GaussianOperator, SamplingOperator
 from admira.solver import SolverConfig
 
@@ -333,6 +333,9 @@ class TestFileFormats:
         assert G.orthonormal
         np.testing.assert_array_equal(G.sigmas, F.sigmas)
         np.testing.assert_array_equal(G.left, F.left)
+        u = np.ones((4, 2)) / 2.0  # unit columns but parallel
+        fileio.write_factored_matrix(path, FactoredMatrix((4, 4), [1.0, 0.5], u, u))
+        assert not fileio.read_factored_matrix(path).orthonormal
 
     def test_sampling_operator_round_trip_one_indexed(self, tmp_path):
         op = SamplingOperator(4, 6, [0, 3], [5, 2])

@@ -1,8 +1,11 @@
 import argparse
 import json
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -239,6 +242,32 @@ class TestSweepCommands:
         with pytest.raises(SystemExit) as exc_info:
             run_cli([])
         assert exc_info.value.code == 2
+
+
+class TestBlasThreads:
+    def test_report_does_not_depend_on_blas_threads(self, tmp_path):
+        # p = 50,000: OpenBLAS's dot product, behind np.linalg.norm, sums a
+        # vector this long in an order that depends on the thread count
+        def cli(threads, *args):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       PYTHONPATH=str(README.parent / "src"))
+            subprocess.run([sys.executable, "-m", "admira.cli", *args], env=env,
+                           check=True, capture_output=True, timeout=300)
+
+        prob = str(tmp_path / "prob")
+        cli(1, "gen", "--m", "250", "--n", "250", "--rank", "2", "--operator",
+            "sampling", "--density", "0.8", "--seed", "3", "--out", prob)
+        assert fileio.read_operator(os.path.join(prob, "operator.txt")).p == 50000
+        for algo in ("admira", "svt"):
+            reports = []
+            for threads in (1, 2):
+                out = tmp_path / f"{algo}-{threads}"
+                cli(threads, "solve", "--problem-dir", prob, "--algo", algo,
+                    "--out", str(out))
+                reports.append(json.loads((out / "report.json").read_text()))
+                del reports[-1]["wall_time"]
+            assert reports[0] == reports[1]
+            assert reports[0]["stop_reason"] == "tol"
 
 
 class TestSolveSeed:

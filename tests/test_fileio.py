@@ -180,6 +180,16 @@ class TestEmptyAndInvalid:
             fileio.read_factored_matrix(path)
         assert str(err.value) == f"{path}: expected {k} blocks of 1, 3 and 2 entries"
 
+    def test_factored_header_beyond_the_file_size_rejected(self, tmp_path):
+        # refused before allocating the 7.28 TiB of factors it declares: each
+        # of its 2,000,001,000,000 entries would take at least two bytes
+        path = tmp_path / "f.txt"
+        path.write_text("1000000 1000000 1000000\n1\n")
+        with pytest.raises(ValueError) as err:
+            fileio.read_factored_matrix(path)
+        assert str(err.value) == (f"{path}: header declares 2000001000000 entries, "
+                                  "more than the file's 26 bytes can hold")
+
     @pytest.mark.parametrize("read, text, message", [
         (fileio.read_factored_matrix, "3 2\n", "not enough values to unpack"),
         (fileio.read_factored_matrix, "1 1 1\nabc\n1\n1\n", "could not convert"),

@@ -4,7 +4,6 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from admira import linalg
-from admira.baseline import _leading_above
 from admira.linalg import (
     AtomSet,
     FactoredMatrix,
@@ -20,6 +19,7 @@ from oracles import jacobi_svd
 
 
 def random_factored(rng, m, n, k, orthonormal=False, sigmas=None):
+    # orthonormal=False draws unit columns that are almost surely not
     if orthonormal:
         U = np.linalg.qr(rng.standard_normal((m, k)))[0]
         V = np.linalg.qr(rng.standard_normal((n, k)))[0]
@@ -30,7 +30,7 @@ def random_factored(rng, m, n, k, orthonormal=False, sigmas=None):
         V /= np.linalg.norm(V, axis=0)
     if sigmas is None:
         sigmas = np.sort(rng.uniform(0.5, 3.0, size=k))[::-1]
-    return FactoredMatrix((m, n), sigmas, U, V, orthonormal=orthonormal)
+    return FactoredMatrix((m, n), sigmas, U, V)
 
 
 class TestFactoredMatrix:
@@ -49,10 +49,37 @@ class TestFactoredMatrix:
         with pytest.raises(ValueError):
             FactoredMatrix((3, 3), [np.nan], u, u)
 
-    def test_orthonormal_flag_checked(self):
+    def test_parallel_unit_columns_are_not_orthonormal(self):
         u = np.ones((4, 2)) / 2.0  # unit columns but parallel
-        with pytest.raises(ValueError):
-            FactoredMatrix((4, 4), [1.0, 0.5], u, u, orthonormal=True)
+        assert not FactoredMatrix((4, 4), [1.0, 0.5], u, u).orthonormal
+        # one orthonormal factor is not enough
+        assert not FactoredMatrix((4, 4), [1.0, 0.5], np.eye(4)[:, :2], u).orthonormal
+
+    def test_orthonormal_is_worked_out_from_the_factors(self):
+        rng = np.random.default_rng(1)
+        assert random_factored(rng, 9, 7, 4, orthonormal=True).orthonormal
+        assert not random_factored(rng, 9, 7, 4).orthonormal
+        with pytest.raises(TypeError):
+            FactoredMatrix((3, 3), [1.0], np.eye(3)[:, :1], np.eye(3)[:, :1],
+                           orthonormal=True)
+
+    def test_every_svd_output_is_orthonormal(self):
+        rng = np.random.default_rng(2)
+        M = rng.standard_normal((40, 30))
+        outputs = [full_svd(M), svd_of_factored(random_factored(rng, 9, 7, 4)),
+                   truncated_svd(M, 3, mode="dense"), truncated_svd(M, 3, mode="lanczos"),
+                   truncated_svd(M, 3, floor=0.5 * full_svd(M).sigmas[2]),
+                   truncated_svd(M, 3, mode="lanczos", floor=1.0)]
+        for F in outputs:
+            assert F.k and F.orthonormal
+
+    def test_svd_routines_refuse_factors_that_are_not_orthonormal(self, monkeypatch):
+        # the one exit of the SVD routines checks what the constructor no
+        # longer does
+        monkeypatch.setattr(linalg, "ORTHO_TOL", -1.0)
+        for svd in (full_svd, lambda M: truncated_svd(M, 2, mode="lanczos")):
+            with pytest.raises(ValueError, match="not orthonormal"):
+                svd(np.diag([3.0, 2.0, 1.0]))
 
     def test_pythagoras_for_orthonormal(self):
         # ||densify(F)||_F^2 == sum sigma^2 for orthonormal atom sets
@@ -280,13 +307,13 @@ def straddled_matrices(draw, min_dim, max_dim):
     return M, dense, tau
 
 
-def assert_matches_above(F, dense, tau, k):
-    """``F`` holds min(k, #sigma > tau) triplets above ``tau``, equal to
-    the dense SVD's in value and, up to the Wedin gap factor, subspace."""
+def assert_matches_above(F, dense, tau):
+    """``F`` holds every triplet above ``tau`` and no other, equal to the
+    dense SVD's in value and, up to the Wedin gap factor, subspace."""
     ref = full_svd(dense)
     s1 = ref.sigmas[0]
-    q = min(k, int(np.sum(ref.sigmas > tau)))
-    assert int(np.sum(F.sigmas > tau)) == q
+    q = int(np.sum(ref.sigmas > tau))
+    assert F.k == q and np.all(F.sigmas > tau)
     np.testing.assert_allclose(F.sigmas[:q], ref.sigmas[:q], rtol=0, atol=1e-10 * s1)
     if q:
         gap = ref.sigmas[q - 1] - (ref.sigmas[q] if q < ref.k else 0.0)
@@ -301,37 +328,34 @@ class TestLanczosFloor:
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
     @given(straddled_matrices(20, 90), st.integers(1, 6), st.integers(0, 99))
     def test_floor_keeps_every_triplet_above(self, case, k, seed):
+        # k is only where the search starts: up to eight values lie above tau
         M, dense, tau = case
         F = truncated_svd(M, k, mode="lanczos", seed=seed, floor=tau)
-        assert_matches_above(F, dense, tau, k)
+        assert_matches_above(F, dense, tau)
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
     @given(st.one_of(straddled_matrices(80, 200), straddled_matrices(401, 430)),
            st.integers(0, 12), st.integers(0, 99))
-    def test_leading_above_finds_all_above_tau(self, case, hint, seed):
+    def test_auto_floor_from_any_hint_finds_all_above_tau(self, case, hint, seed):
         # The auto mode SVT uses: up to GRAM_MAX_DIM = 128 it solves the
         # Gram matrix, from 129 to 200 it takes the dense path or Lanczos
         # depending on min(m, n) and k; above 176 and above 400, a small
         # k's Lanczos step budget stays below min(m, n)
         M, dense, tau = case
-        F = _leading_above(M, tau, hint, seed)
-        assert_matches_above(F, dense, tau, min(M.shape))
+        F = truncated_svd(M, max(hint, 1), seed=seed, floor=tau)
+        assert_matches_above(F, dense, tau)
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
     @given(straddled_matrices(100, 160), st.integers(1, 10))
     def test_auto_floor_keeps_every_triplet_above(self, case, k):
-        # min(m, n) straddles GRAM_MAX_DIM: the Gram path below it returns
-        # only the triplets above tau, Lanczos or the dense path above it
-        # may add unconverged ones below
+        # min(m, n) straddles GRAM_MAX_DIM: the Gram path below it, Lanczos
+        # or the dense path above it, all return the triplets above tau
         M, dense, tau = case
         F = truncated_svd(M, k, floor=tau)
-        assert_matches_above(F, dense, tau, k)
-        if min(M.shape) <= linalg.GRAM_MAX_DIM:
-            assert np.all(F.sigmas > tau)
-        above = F.sigmas > tau
-        s, U, V = F.sigmas[above], F.left[:, above], F.right[:, above]
+        assert_matches_above(F, dense, tau)
+        s, U, V = F.sigmas, F.left, F.right
         scale = linalg.LANCZOS_TOL * full_svd(dense).sigmas[0]
         assert np.max(np.linalg.norm(dense @ V - U * s, axis=0), initial=0) <= scale
         assert np.max(np.linalg.norm(dense.T @ U - V * s, axis=0), initial=0) <= scale
@@ -501,6 +525,12 @@ class TestBestRankR:
             Y = rng.standard_normal((10, 3)) @ rng.standard_normal((3, 8))
             Y *= np.linalg.norm(dense) / np.linalg.norm(Y)
             assert best_err <= np.linalg.norm(dense - Y) + 1e-12
+
+    def test_slice_is_orthonormal(self):
+        rng = np.random.default_rng(15)
+        for F in (random_factored(rng, 8, 7, 4), random_factored(rng, 8, 7, 4, True)):
+            G = best_rank_r(F, 2)
+            assert G.k == 2 and G.orthonormal
 
     def test_normalizes_non_orthonormal_input(self):
         rng = np.random.default_rng(14)

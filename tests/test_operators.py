@@ -31,7 +31,7 @@ def random_low_rank(rng, m, n, k):
     U = np.linalg.qr(rng.standard_normal((m, k)))[0]
     V = np.linalg.qr(rng.standard_normal((n, k)))[0]
     s = np.sort(rng.uniform(0.5, 2.0, k))[::-1]
-    return FactoredMatrix((m, n), s, U, V, orthonormal=True)
+    return FactoredMatrix((m, n), s, U, V)
 
 
 def drawn_operator(kind, m, n, fraction, seed):

@@ -126,8 +126,10 @@ class TestAdmiraSolve:
         assert err <= 1e-3 * np.linalg.norm(X0)
         assert report.solution.k <= 2
         # a tol stop ends at the best iterate; the error trace subtracts
-        # into the densified iterate, never into the caller's X0
-        assert report.error_trace[-1] == np.linalg.norm(X0 - report.solution.densify())
+        # into the densified iterate, never into the caller's X0, and sums
+        # the squares in numpy's pairwise order
+        D = X0 - report.solution.densify()
+        assert report.error_trace[-1] == np.sqrt(np.sum(D * D))
         np.testing.assert_array_equal(X0, before)
 
     def test_solution_rank_bounded(self):
