@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_TOL, FactoredMatrix, full_svd, svd_of_factored
+from .linalg import RANK_TOL, FactoredMatrix, _norm, full_svd, svd_of_factored
 from .operators import _rng, estimate_delta_profile
 
 SNR_CAP_DB = 300.0
@@ -114,10 +114,11 @@ def snr_recon(X0, Xhat):
     X0, Xhat = _as_dense(X0), _as_dense(Xhat)
     if X0.shape != Xhat.shape:
         raise ValueError(f"snr_recon: ground truth {X0.shape} and estimate {Xhat.shape} differ")
-    signal = np.linalg.norm(X0)
+    signal = _norm(X0)
     if signal == 0.0:
         raise ValueError("snr_recon undefined for zero ground truth")
-    err = np.linalg.norm(X0 - Xhat)
+    diff = X0 - Xhat
+    err = _norm(diff, out=diff)
     if err == 0.0:
         return SNR_CAP_DB
     return float(min(20.0 * math.log10(signal / err), SNR_CAP_DB))
@@ -128,10 +129,10 @@ def snr_meas(b, nu):
     +300 dB for noiseless data."""
     b = np.asarray(b, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
-    b_norm = np.linalg.norm(b)
+    b_norm = _norm(b)
     if b_norm == 0.0:
         raise ValueError("snr_meas undefined for zero measurements")
-    nu_norm = np.linalg.norm(nu)
+    nu_norm = _norm(nu)
     if nu_norm == 0.0:
         return SNR_CAP_DB
     return float(min(20.0 * math.log10(b_norm / nu_norm), SNR_CAP_DB))

@@ -23,6 +23,7 @@ import numpy as np
 from . import fileio
 from .analysis import snr_recon
 from .baseline import svt_solve
+from .linalg import _norm
 from .operators import GaussianOperator, SamplingOperator, _rng
 from .solver import SolverConfig, admira_solve
 
@@ -101,8 +102,8 @@ def generate_problem(spec):
     if spec.snr_meas_db is None:
         return op, b_clean, X0, np.zeros(spec.p)
     direction = _rng(spec.seed, 2).standard_normal(spec.p)
-    direction /= np.linalg.norm(direction)
-    nu = direction * (np.linalg.norm(b_clean) * 10.0 ** (-spec.snr_meas_db / 20.0))
+    direction /= _norm(direction)
+    nu = direction * (_norm(b_clean) * 10.0 ** (-spec.snr_meas_db / 20.0))
     return op, b_clean + nu, X0, nu
 
 

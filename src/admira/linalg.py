@@ -69,6 +69,12 @@ def check_dense(X, name="matrix"):
     return X
 
 
+def _norm(v, out=None):
+    # The 2-norm by numpy's pairwise sum, whose bits, unlike np.linalg.norm's
+    # BLAS dot, do not depend on the thread count.  ``out=v`` squares in place.
+    return float(np.sqrt(np.sum(np.multiply(v, v, out=out))))
+
+
 def _check_unit_columns(*factors):
     """Raise ``ValueError`` unless every factor is finite with unit-norm columns."""
     for B in factors:

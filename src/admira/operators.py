@@ -21,6 +21,9 @@ from .linalg import FactoredMatrix, _reorthogonalize, check_dense
 # Gaussian operators whose frames would take more memory than this are
 # refused before anything is allocated.
 GAUSSIAN_FRAME_LIMIT_BYTES = 2**31
+# So are sampling operators whose CSR row pointer would; the column count
+# allocates nothing.
+ROW_POINTER_LIMIT_BYTES = 2**31
 # Rows of atom measurements gathered per block by the least-squares fit
 # and by entry sampling's apply_combination: cache-sized, never p-by-K.
 BLOCK_ROWS = 8192
@@ -146,9 +149,13 @@ def sample_indices_without_replacement(total, count, seed):
     ``[i, total)``.  All targets are drawn in one call, which gives the
     same stream as drawing them one step at a time.  Step ``i`` outputs
     what the last earlier step ``k`` with target ``j_i`` moved there, or
-    ``j_i``; step ``k`` moved what position ``k`` held, which pointer
-    jumping finds.  Sorting the steps by ``(target, step)`` gives both
-    kinds of predecessor, so no step is replayed one at a time.
+    ``j_i``; step ``k`` moved what position ``k`` held just before step
+    ``k``.  One sort of the steps by ``(target, step)`` gives both kinds
+    of predecessor, so no step is replayed one at a time, and the rest is
+    linear.  A step never targets a position below its own index, so
+    position ``t < count`` was last moved to by the last step ``l != t``
+    of target group ``t``, and held what ``l`` held; pointer jumping over
+    those chained positions alone finds what each one held.
     """
     if not 0 <= count <= total:
         raise ValueError("need 0 <= count <= total")
@@ -157,14 +164,16 @@ def sample_indices_without_replacement(total, count, seed):
     targets = _rng(seed).integers(np.arange(count), total)
     keys = targets * count + np.arange(count)
     keys.sort()
-    # the entry just below (k, k) is the last step before k with target k
-    below = np.searchsorted(keys, np.arange(count) * (count + 1)) - 1
     target, step = np.divmod(keys, count)  # in (target, step) order
+    # a step on its own position moves nothing
+    moved = (target < count) & (step != target)
+    into, source = target[moved], step[moved]
+    last = np.diff(into, append=-1) != 0
+    chained, source = into[last], source[last]
     held = np.arange(count)
-    chained = (below >= 0) & (target[below] == held)
-    held[chained] = step[below[chained]]
-    while not np.array_equal(up := held[held], held):
-        held = up
+    held[chained] = source
+    while not np.array_equal(up := held[source], source):
+        held[chained] = source = up
     repeat = np.flatnonzero(target[1:] == target[:-1]) + 1
     targets[step[repeat]] = held[step[repeat - 1]]  # the rest output j_i
     return targets
@@ -175,12 +184,20 @@ class SamplingOperator(MeasurementOperator):
     ``(rows[k], cols[k])``.  Index pairs are distinct.
 
     The row-major order of the samples is computed once, at
-    construction; it serves the distinctness check and gives the adjoint
-    its CSR layout, so :meth:`adjoint` only permutes its input.
+    construction, by one sort of the packed keys ``entry * p + sample``
+    (an argsort of the entries when ``m * n * p`` reaches 2**63); it
+    serves the distinctness check and gives the adjoint its CSR layout,
+    so :meth:`adjoint` only permutes its input.  The forward map of a
+    dense matrix is one gather at the flat entry indices.
     """
 
     def __init__(self, m, n, rows, cols):
         self.m, self.n = int(m), int(n)
+        nbytes = 8 * (self.m + 1)
+        if nbytes > ROW_POINTER_LIMIT_BYTES:
+            raise ValueError(
+                f"the row pointer for {self.m} rows needs {nbytes} bytes, "
+                f"above the {ROW_POINTER_LIMIT_BYTES}-byte limit")
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
         if rows.size != cols.size:
@@ -190,13 +207,20 @@ class SamplingOperator(MeasurementOperator):
         if rows.size and (rows.min() < 0 or rows.max() >= self.m
                           or cols.min() < 0 or cols.max() >= self.n):
             raise ValueError("sample index out of range")
+        self.p = p = rows.size
         flat = rows * self.n + cols
-        # keys are distinct (or refused below): any sort gives the same order
-        order = np.argsort(flat)
-        flat = flat[order]
+        if self.m * self.n * p < 2**63:
+            # the packed keys are distinct, so their order is argsort's
+            flat *= p
+            flat += np.arange(p)
+            flat.sort()
+            flat, order = np.divmod(flat, p)
+        else:
+            # keys are distinct (or refused below): any sort gives the same order
+            order = np.argsort(flat)
+            flat = flat[order]
         if np.any(flat[1:] == flat[:-1]):
             raise ValueError("sample indices must be distinct")
-        self.p = rows.size
         # CSR arrays in the index dtype scipy itself would choose
         index_dtype = (np.int32 if max(self.m, self.n, self.p) <= np.iinfo(np.int32).max
                        else np.int64)
@@ -212,7 +236,7 @@ class SamplingOperator(MeasurementOperator):
     def random(cls, m, n, p, seed=0):
         """Uniform sampling of ``p`` distinct entries."""
         flat = sample_indices_without_replacement(m * n, p, seed)
-        return cls(m, n, flat // n, flat % n)
+        return cls(m, n, *np.divmod(flat, n))
 
     @classmethod
     def identity(cls, m, n):
@@ -222,7 +246,8 @@ class SamplingOperator(MeasurementOperator):
         return cls(m, n, flat // n, flat % n)
 
     def _apply_explicit(self, X):
-        return X[self.rows, self.cols]
+        # one flat gather; take reads X in row-major order whatever its layout
+        return X.take(self.rows * self.n + self.cols)
 
     def apply_combination(self, left, right, coeffs):
         # Adding the columns in order to zero is several times faster

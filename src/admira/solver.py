@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from . import operators
-from .linalg import (AtomSet, FactoredMatrix, LanczosConvergenceError, best_rank_r,
+from .linalg import (AtomSet, FactoredMatrix, LanczosConvergenceError, _norm, best_rank_r,
                      check_dense, svd_of_factored, truncated_svd)
 
 # Columns whose pivot in R falls below this fraction of the largest
@@ -93,12 +93,6 @@ class SolverReport:
 
 def _derived_seed(seed, salt):
     return int(np.random.SeedSequence((seed, salt)).generate_state(1)[0])
-
-
-def _norm(v, out=None):
-    # The 2-norm by numpy's pairwise sum, whose bits, unlike np.linalg.norm's
-    # BLAS dot, do not depend on the thread count.  ``out=v`` squares in place.
-    return float(np.sqrt(np.sum(np.multiply(v, v, out=out))))
 
 
 def _run_iterations(op, b, iterates, max_iter, residual_tol, stop_rule,

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +76,26 @@ class TestGenerateProblem:
         np.testing.assert_array_equal(b1, b2)
         np.testing.assert_array_equal(X1, X2)
         np.testing.assert_array_equal(nu1, nu2)
+
+    def test_noisy_b_does_not_depend_on_blas_threads(self):
+        # p = 50,000: OpenBLAS's dot product, behind np.linalg.norm, sums a
+        # vector this long in an order that depends on the thread count;
+        # at 1 and 2 threads it moved the noise scale of seeds 1 and 2
+        code = ("import hashlib\n"
+                "from admira.analysis import snr_meas\n"
+                "from admira.bench import ProblemSpec, generate_problem\n"
+                "for seed in range(4):\n"
+                "    spec = ProblemSpec(250, 250, 2, 'sampling', 50000, 20.0, seed)\n"
+                "    _, b, _, nu = generate_problem(spec)\n"
+                "    print(hashlib.sha256(b.tobytes()).hexdigest(), repr(snr_meas(b, nu)))\n")
+        outputs = []
+        for threads in (1, 2):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+            outputs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                          capture_output=True, text=True, timeout=300).stdout)
+        assert len(outputs[0].splitlines()) == 4
+        assert outputs[0] == outputs[1]
 
     def test_operator_kinds(self):
         g = generate_problem(ProblemSpec(8, 8, 1, "gaussian", 60, None, 0))[0]

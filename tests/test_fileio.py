@@ -190,6 +190,15 @@ class TestEmptyAndInvalid:
         assert str(err.value) == (f"{path}: header declares 2000001000000 entries, "
                                   "more than the file's 26 bytes can hold")
 
+    def test_operator_with_a_huge_row_count_rejected(self, tmp_path):
+        # refused before bincount allocates a 7.28 TiB row pointer
+        path = tmp_path / "op.txt"
+        path.write_text("1000000000000 5 1\n1 1\n")
+        with pytest.raises(ValueError) as err:
+            fileio.read_operator(path)
+        assert str(err.value) == (f"{path}: the row pointer for 1000000000000 rows needs "
+                                  "8000000000008 bytes, above the 2147483648-byte limit")
+
     @pytest.mark.parametrize("read, text, message", [
         (fileio.read_factored_matrix, "3 2\n", "not enough values to unpack"),
         (fileio.read_factored_matrix, "1 1 1\nabc\n1\n1\n", "could not convert"),

@@ -66,6 +66,14 @@ class TestApply:
         op = SamplingOperator(2, 2, [0, 1], [0, 1])
         np.testing.assert_array_equal(op.apply(np.eye(2)), [1.0, 1.0])
 
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+    def test_sampling_gather_is_bitwise_fancy_indexing(self, layout):
+        op = SamplingOperator.random(9, 7, 40, seed=5)
+        X = np.random.default_rng(1).standard_normal((18, 21))
+        X = {"C": X[:9, :7].copy(), "F": np.asfortranarray(X[:9, :7]),
+             "sliced": X[::2, 1::3]}[layout]
+        assert op.apply(X).tobytes() == X[op.rows, op.cols].tobytes()
+
     def test_zero_maps_to_zero(self, operator):
         np.testing.assert_array_equal(operator.apply(np.zeros((9, 7))),
                                       np.zeros(40))
@@ -293,6 +301,7 @@ class TestSamplingConstruction:
     @pytest.mark.parametrize("total, count, seed", [
         (1, 0, 0), (1, 1, 0), (10, 0, 3), (10, 10, 3), (10, 4, 5),
         (2500, 937, 1), (2500, 2500, 2), (10**9, 300, 7), (250000, 9354, 11),
+        (250000, 93540, 13), (5000, 5000, 17),
     ])
     def test_matches_step_by_step_shuffle(self, total, count, seed):
         got = sample_indices_without_replacement(total, count, seed)
@@ -334,6 +343,17 @@ class TestSamplingConstruction:
         np.testing.assert_array_equal(op._indptr,
                                       np.searchsorted(flat[order], np.arange(m + 1) * n))
 
+    @pytest.mark.parametrize("n", [2**60 - 1, 2**60, 2**61])
+    def test_layout_at_the_packed_key_bound(self, n):
+        # m * n * p = 2**63 - 8, 2**63 and 2**64: the first sorts packed
+        # keys up to m * n * p - 1 (the last sample holds the last entry),
+        # the others argsort the entries
+        op = SamplingOperator(2, n, [1, 0, 0, 1], [5, n - 1, 7, n - 1])
+        order = np.argsort(op.rows * n + op.cols, kind="stable")
+        np.testing.assert_array_equal(op._order, order)
+        np.testing.assert_array_equal(op._indices, op.cols[order])
+        np.testing.assert_array_equal(op._indptr, [0, 2, 4])
+
     @settings(max_examples=50, deadline=None)
     @given(st.data(), st.integers(1, 30), st.integers(2, 30), st.integers(0, 2**32 - 1))
     def test_duplicate_pair_refused_anywhere(self, data, m, n, seed):
@@ -373,6 +393,15 @@ class TestGaussianMemoryGuard:
         assert GaussianOperator(3, 4, 5).frames.nbytes == 480
         with pytest.raises(ValueError, match="576 bytes"):
             GaussianOperator(3, 4, 6)
+
+
+class TestRowPointerGuard:
+    def test_limit_is_inclusive(self, monkeypatch):
+        # 3 rows need a 4-entry row pointer, 32 bytes
+        monkeypatch.setattr(operators, "ROW_POINTER_LIMIT_BYTES", 32)
+        assert SamplingOperator(3, 4, [2], [3]).p == 1
+        with pytest.raises(ValueError, match="40 bytes"):
+            SamplingOperator(4, 4, [2], [3])
 
 
 class TestDeltaEstimate:
