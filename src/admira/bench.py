@@ -10,15 +10,19 @@ with a header and a spec-hash column; per-trial seeds are derived from
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+import scipy
 
 from . import fileio
 from .analysis import snr_recon
@@ -145,16 +149,37 @@ def _trial_record(job):
     return run_trial(*job)[0]
 
 
+def _one_blas_thread():
+    """Pool initializer: one thread in each OpenBLAS bundled with numpy
+    and scipy, so the workers, not BLAS threads, share the cores.  Does
+    nothing where a library or its setter is absent."""
+    for package in (np, scipy):
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        for path in glob.glob(os.path.join(site, f"{package.__name__}.libs",
+                                           "libscipy_openblas*")):
+            lib = ctypes.CDLL(path)
+            for symbol in ("scipy_openblas_set_num_threads64_",
+                           "scipy_openblas_set_num_threads"):
+                if hasattr(lib, symbol):
+                    setter = getattr(lib, symbol)
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    setter(1)
+
+
 def _run_cells(cells, workers):
     """Run the trials of all cells ``(specs, algo, solver_config)``
     through one pool of at most one process per trial, and return the
-    records cell by cell."""
+    records cell by cell.  The pool's processes are spawned, not forked
+    from a process whose BLAS already runs threads, and each runs BLAS
+    on one thread."""
     jobs = [(spec, algo, solver_config, t)
             for specs, algo, solver_config in cells
             for t, spec in enumerate(specs)]
     workers = min(workers, len(jobs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=_one_blas_thread) as pool:
             records = list(pool.map(_trial_record, jobs))
     else:
         records = [_trial_record(job) for job in jobs]

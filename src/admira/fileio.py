@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import os
+import warnings
 
 import numpy as np
 
@@ -41,10 +42,18 @@ def _names_path(read):
     return reader
 
 
+def _loadtxt(source, dtype, ndmin):
+    """``np.loadtxt`` without its warning on no data: a caller that
+    expected data reports that by its shape check, naming the path."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(source, dtype=dtype, ndmin=ndmin)
+
+
 def _read_rows(fh, shape, dtype=np.float64):
     """The rest of ``fh`` as an array of ``shape``.  An empty one is not
-    left to loadtxt, which warns on no data and gives shape (0, 1)."""
-    X = np.loadtxt(fh, dtype=dtype, ndmin=2) if 0 not in shape else np.zeros(shape, dtype)
+    left to loadtxt, which gives shape (0, 1)."""
+    X = _loadtxt(fh, dtype, 2) if 0 not in shape else np.zeros(shape, dtype)
     if X.shape != shape or (0 in shape and fh.read().strip()):
         raise ValueError(f"expected {shape[0]}x{shape[1]} entries")
     return X
@@ -127,8 +136,7 @@ def write_vector(path, y):
 
 @_names_path
 def read_vector(path):
-    # loadtxt warns on an empty file, which is how an empty vector is written
-    y = np.loadtxt(path, dtype=np.float64, ndmin=1) if os.path.getsize(path) else np.zeros(0)
+    y = _loadtxt(path, np.float64, 1)
     if not np.all(np.isfinite(y)):
         raise ValueError("vector contains NaN or Inf")
     return y

@@ -22,14 +22,15 @@ RANK_TOL = 1e-12
 UNIT_TOL = 1e-10
 ORTHO_TOL = 1e-8
 # Truncated SVDs with min(m, n) above this always take the Lanczos path.
-# Smaller ones take it only above LANCZOS_BLOCK_RATIO times its first block
-# of max(2k + 10, 16) steps; below that LAPACK's full SVD is faster.
+# Smaller ones take it only above LANCZOS_BLOCK_RATIO times its block of
+# max(2k + 10, 16) steps; below that LAPACK's full SVD is faster.
 DENSE_FALLBACK_DIM = 400
 LANCZOS_BLOCK_RATIO = 6
 # Floored truncated SVDs with min(m, n) up to this try _gram_svd first.
 GRAM_MAX_DIM = 128
 GRAM_MAX_RATIO = 1e3
-# Lanczos steps between Ritz-residual checks after the first block.
+# Lanczos steps between an unfloored call's Ritz-residual checks after
+# its first block.
 CHECK_EVERY = 4
 # Relative residual at which a Lanczos Ritz triplet counts as converged.
 LANCZOS_TOL = 1e-10
@@ -236,15 +237,25 @@ def truncated_svd(M, k, mode="auto", seed=0, floor=0.0):
         ``floor**2`` if ``floor > 0``, min(m, n) <= ``GRAM_MAX_DIM`` and
         sigma_1 <= ``GRAM_MAX_RATIO * floor``, else the dense path or
         Lanczos by the rule at ``DENSE_FALLBACK_DIM``.  Lanczos converges
-        each Ritz triplet to a relative residual of ``LANCZOS_TOL``.  The
-        explicit modes force one of the last two.  The dense path takes
-        LAPACK's full SVD but sign-fixes and validates only its triplets.
+        each Ritz triplet to a relative residual of ``LANCZOS_TOL``.  With a
+        floor it checks its Ritz values after k + 2 steps and then every
+        max(1, j // 8) steps; without one, after max(2k + 10, 16) steps and
+        then every ``CHECK_EVERY``.  ``_lanczos_svd`` says how it stores
+        and reorthogonalizes its vectors.  The explicit modes force one of
+        the last two.  The dense path takes LAPACK's full SVD but
+        sign-fixes and validates only its triplets.
     seed : int
         Seed for the Lanczos start vector (results are deterministic).
     floor : float
         If positive, every triplet above ``floor`` is returned and no other.
         Lanczos stops refining a triplet once its Ritz value plus ten times
-        its residual bound is at or below ``floor``.
+        its residual bound is at or below ``floor``.  That margin bounds
+        the distance to the nearest singular value, not to a larger one the
+        Krylov space has not yet resolved: when two singular values
+        straddle the floor within a relative gap of about 2e-4, Lanczos
+        can return the lower one's Ritz value as settled and miss the upper
+        one (3 of 1,000 seeded cases of such a pair over a bulk).  The Gram
+        and dense routes are exact.
 
     Raises
     ------
@@ -303,28 +314,47 @@ def _gram_svd(M, floor):
     return _svd_result(M.shape, s, *((W, Z) if T is M else (Z, W)), q)
 
 
-def _reorthogonalize(w, basis, ncols):
-    # Two rounds of classical Gram-Schmidt against the first ncols columns.
-    if ncols:
-        B = basis[:, :ncols]
-        for _ in range(2):
-            w -= B @ (B.T @ w)
+def _reorthogonalize(w, basis):
+    # Classical Gram-Schmidt against the rows of ``basis``.  A second pass
+    # runs only if the first cut ||w|| below 1/sqrt(2) of what it was
+    # (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976): only then can
+    # rounding have left w measurably out of the orthogonal complement.
+    before = w @ w
+    w -= basis.T @ (basis @ w)
+    if 2 * (w @ w) < before:
+        w -= basis.T @ (basis @ w)
     return w
+
+
+def _grown(basis, rows):
+    # ``basis`` copied into an array of ``rows`` rows; the new rows are unset.
+    out = np.empty((rows, basis.shape[1]))
+    out[:basis.shape[0]] = basis
+    return out
 
 
 def _lanczos_svd(matvec, rmatvec, shape, k, floor, seed):
     """Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization.
 
     ``matvec`` and ``rmatvec`` multiply by the matrix and its transpose.
-    After a first block of max(2k + 10, 16) steps, checks the Ritz
-    residuals (trailing-beta bound) every ``CHECK_EVERY`` steps and stops
-    once each of the ``k`` leading triplets has a residual within
-    ``LANCZOS_TOL`` of the top Ritz value, or a Ritz value plus ten
-    residuals at most ``floor``; while the k-th is above a positive
-    ``floor``, k grows by five and the recurrence goes on.  The budget is
-    block * (10k + 1) steps, capped at min(m, n).  Once the Krylov space
-    is complete (an exact breakdown, i.e. a zero recurrence norm, or
-    min(m, n) steps), every Ritz triplet is exact and all are returned.
+    Checks the Ritz residuals (trailing-beta bound) and stops once each
+    of the ``k`` leading triplets has a residual within ``LANCZOS_TOL`` of
+    the top Ritz value, or a Ritz value plus ten residuals at most
+    ``floor``; while the k-th is above a positive ``floor``, k grows by
+    five and the recurrence goes on.  With ``floor > 0`` the first check
+    comes after k + 2 steps and the next ones every max(1, j // 8) steps,
+    so a check's O(j^3) core SVD stays a fixed share of the steps' cost.
+    Without a floor the first check comes after a block of max(2k + 10,
+    16) steps and the next ones every ``CHECK_EVERY`` steps.  The budget
+    is block * (10k + 1) steps, capped at min(m, n).  Once the Krylov
+    space is complete (an exact breakdown, i.e. a zero recurrence norm,
+    or min(m, n) steps), every Ritz triplet is exact and all are returned.
+
+    The Lanczos vectors are stored one per row, in arrays sized for the
+    first check and doubled when a later one needs more, so a call writes
+    only the memory of the steps it takes.  Each new vector is
+    orthogonalized by one classical Gram-Schmidt pass, and by a second
+    only when the DGKS test asks for it (``_reorthogonalize``).
     """
     m, n = shape
     minmn = min(m, n)
@@ -332,45 +362,43 @@ def _lanczos_svd(matvec, rmatvec, shape, k, floor, seed):
     block = min(minmn, max(2 * k + 10, 16))
     budget = min(minmn, block * (10 * k + 1))
 
-    alloc = min(minmn, 8 * block)
-    U = np.zeros((m, alloc))
-    V = np.zeros((n, alloc))
-    alphas = np.zeros(alloc)
-    betas = np.zeros(alloc)  # betas[j] couples v_{j+1} to u_j
+    target = min(budget, k + 2) if floor > 0 else block
+    U = np.empty((target, m))
+    V = np.empty((target, n))
+    alphas, betas = [], []  # betas[j] couples v_{j+1} to u_j
 
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    j, target = 0, block
+    j = 0
     exhausted, extra = False, 0
     amax = 0.0  # running max of alphas[:j + 1]
 
     while True:
-        if target > alloc:
-            alloc = min(minmn, max(2 * alloc, target))
-            U = np.hstack([U, np.zeros((m, alloc - U.shape[1]))])
-            V = np.hstack([V, np.zeros((n, alloc - V.shape[1]))])
-            alphas = np.concatenate([alphas, np.zeros(alloc - alphas.size)])
-            betas = np.concatenate([betas, np.zeros(alloc - betas.size)])
+        if target > U.shape[0]:
+            rows = min(minmn, max(2 * U.shape[0], target))
+            U, V = _grown(U, rows), _grown(V, rows)
         while j < target and not exhausted:
-            V[:, j] = v
+            V[j] = v
             w = matvec(v)
             if j > 0:
-                w -= betas[j - 1] * U[:, j - 1]
-            w = _reorthogonalize(w, U, j)
-            alphas[j] = np.sqrt(w @ w)
-            amax = max(amax, alphas[j])
-            if alphas[j] <= max(m, n) * 1e-15 * (amax + 1e-300):
+                w -= betas[j - 1] * U[j - 1]
+            w = _reorthogonalize(w, U[:j])
+            alpha = np.sqrt(w @ w)
+            alphas.append(alpha)
+            amax = max(amax, alpha)
+            if alpha <= max(m, n) * 1e-15 * (amax + 1e-300):
                 exhausted, extra = True, 1
                 break
-            U[:, j] = w / alphas[j]
-            w = rmatvec(U[:, j]) - alphas[j] * v
-            w = _reorthogonalize(w, V, j + 1)
-            betas[j] = np.sqrt(w @ w)
+            np.divide(w, alpha, out=U[j])
+            w = rmatvec(U[j]) - alpha * v
+            w = _reorthogonalize(w, V[:j + 1])
+            beta = np.sqrt(w @ w)
+            betas.append(beta)
             j += 1
-            if betas[j - 1] <= max(m, n) * 1e-15 * amax:
+            if beta <= max(m, n) * 1e-15 * amax:
                 exhausted = True
                 break
-            v = w / betas[j - 1]
+            v = w / beta
 
         # Ritz triplets of the upper bidiagonal core B = U_j^T A V_cols:
         # A V_j = U_j B holds exactly, A^T U_j = V_j B^T + beta_j v_{j+1} e_j^T.
@@ -383,7 +411,7 @@ def _lanczos_svd(matvec, rmatvec, shape, k, floor, seed):
         if exhausted or j == minmn:
             # The Krylov space is complete and every Ritz triplet exact; more
             # than k of them may lie above the floor, so all are returned.
-            return s, U[:, :j] @ P, V[:, :cols] @ Qt[:j].T
+            return s, U[:j].T @ P, V[:cols].T @ Qt[:j].T
         # || A^T x_i - s_i y_i || = beta_j * |P[j-1, i]|
         resid = betas[j - 1] * np.abs(P[j - 1, :k])
         scale = s[0] if s[0] > 0 else 1.0
@@ -395,14 +423,14 @@ def _lanczos_svd(matvec, rmatvec, shape, k, floor, seed):
                              | (s[:k] <= RANK_TOL * scale)))
         if settled == k:
             if not 0 < floor < s[k - 1]:
-                return s[:k], U[:, :j] @ P[:, :k], V[:, :cols] @ Qt[:k].T
+                return s[:k], U[:j].T @ P[:, :k], V[:cols].T @ Qt[:k].T
             # All k settled above the floor, so more may lie above it:
             # extend the same recurrence to five more triplets.
             k = min(k + 5, minmn)
             budget = min(minmn, max(2 * k + 10, 16) * (10 * k + 1))
         elif j == budget:
             raise LanczosConvergenceError(settled, k, j)
-        target = min(budget, j + CHECK_EVERY)
+        target = min(budget, j + (max(1, j // 8) if floor > 0 else CHECK_EVERY))
 
 
 def svd_of_factored(X):

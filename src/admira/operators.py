@@ -22,7 +22,7 @@ from .linalg import FactoredMatrix, _reorthogonalize, check_dense
 # refused before anything is allocated.
 GAUSSIAN_FRAME_LIMIT_BYTES = 2**31
 # So are sampling operators whose CSR row pointer would; the column count
-# allocates nothing.
+# allocates nothing, but m * n must fit the int64 flat entry index.
 ROW_POINTER_LIMIT_BYTES = 2**31
 # Rows of atom measurements gathered per block by the least-squares fit
 # and by entry sampling's apply_combination: cache-sized, never p-by-K.
@@ -198,6 +198,9 @@ class SamplingOperator(MeasurementOperator):
             raise ValueError(
                 f"the row pointer for {self.m} rows needs {nbytes} bytes, "
                 f"above the {ROW_POINTER_LIMIT_BYTES}-byte limit")
+        if self.m * self.n >= 2**63:
+            raise ValueError(f"a {self.m}x{self.n} matrix has 2**63 or more entries, "
+                             "beyond the int64 flat index")
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
         if rows.size != cols.size:
@@ -295,11 +298,11 @@ class RipEstimate:
     seed: int
 
 
-def _next_orthonormal(rng, basis, count):
-    # Draw a random direction and orthogonalize it against the columns
-    # already in `basis`; the draw order is rank-by-rank, so chains with
-    # different maximum ranks share their leading samples.
-    w = _reorthogonalize(rng.standard_normal(basis.shape[0]), basis, count)
+def _next_orthonormal(rng, basis):
+    # Draw a random direction and orthogonalize it against the rows of
+    # `basis`; the draw order is rank-by-rank, so chains with different
+    # maximum ranks share their leading samples.
+    w = _reorthogonalize(rng.standard_normal(basis.shape[1]), basis)
     return w / np.linalg.norm(w)
 
 
@@ -309,15 +312,15 @@ def _nested_deviations(op, r_max, trials, seed):
     dev = np.zeros((trials, r_max))
     for t in range(trials):
         rng = _rng(seed, t)
-        Qu = np.zeros((op.m, r_max))
-        Qv = np.zeros((op.n, r_max))
+        Qu = np.zeros((r_max, op.m))
+        Qv = np.zeros((r_max, op.n))
         c = np.zeros(r_max)
         meas = np.zeros(op.p)
         for s in range(r_max):
-            Qu[:, s] = _next_orthonormal(rng, Qu, s)
-            Qv[:, s] = _next_orthonormal(rng, Qv, s)
+            Qu[s] = _next_orthonormal(rng, Qu[:s])
+            Qv[s] = _next_orthonormal(rng, Qv[:s])
             c[s] = rng.standard_normal()
-            meas += c[s] * op.apply_rank_one(Qu[:, s], Qv[:, s])
+            meas += c[s] * op.apply_rank_one(Qu[s], Qv[s])
             nrm = np.linalg.norm(c[: s + 1])
             dev[t, s] = abs(np.sum((meas / nrm) ** 2) - 1.0)
     return dev

@@ -231,12 +231,14 @@ class TestSweepRobustness:
 
     @pytest.mark.parametrize("workers, trials, expected", [(64, 1, 2), (2, 3, 2)])
     def test_pool_capped_at_job_count(self, monkeypatch, workers, trials, expected):
-        # one pool per sweep, never larger than its trial count; the fake
-        # executor runs jobs in this process
+        # one pool per sweep, never larger than its trial count, of spawned
+        # processes that pin BLAS; the fake executor runs jobs in this process
         pools = []
 
         class FakeExecutor:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context, initializer):
+                assert mp_context.get_start_method() == "spawn"
+                assert initializer is bench._one_blas_thread
                 pools.append(max_workers)
 
             def __enter__(self):
@@ -253,6 +255,30 @@ class TestSweepRobustness:
         _, serial = run_table1([20], trials=trials, seed=0, workers=1)
         assert pools == [expected]
         assert rows == serial
+
+    def test_pool_initializer_pins_both_openblas_builds(self):
+        # in a fresh process started at two BLAS threads, so that this one
+        # keeps its own setting
+        code = ("import ctypes, glob, json, os, numpy, scipy\n"
+                "from admira import bench\n"
+                "libs = []\n"
+                "for package, getter in ((numpy, 'scipy_openblas_get_num_threads64_'),\n"
+                "                        (scipy, 'scipy_openblas_get_num_threads')):\n"
+                "    site = os.path.dirname(os.path.dirname(package.__file__))\n"
+                "    for path in glob.glob(os.path.join(site, package.__name__ + '.libs',\n"
+                "                                       'libscipy_openblas*')):\n"
+                "        libs.append(getattr(ctypes.CDLL(path), getter))\n"
+                "before = [get() for get in libs]\n"
+                "bench._one_blas_thread()\n"
+                "print(json.dumps([before, [get() for get in libs]]))\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=300).stdout
+        before, after = json.loads(out)
+        if not before or max(before) < 2:
+            pytest.skip("no bundled OpenBLAS here, or it runs one thread on one core")
+        assert before == [2] * len(before) and after == [1] * len(after)
 
     def test_csv_refuses_other_header(self, tmp_path):
         out = tmp_path / "mixed.csv"

@@ -423,24 +423,40 @@ class TestLanczosFloor:
         F = truncated_svd((U * s) @ V.T, 3, mode="lanczos", seed=seed, floor=tau)
         np.testing.assert_allclose(F.sigmas[F.sigmas > tau], s[:2], rtol=1e-12)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known miss: the floor rule settles sigma_2's Ritz value under the floor "
+        "while sigma_1, 2e-4 above it, is not yet resolved"))
+    def test_near_degenerate_pair_straddling_the_floor(self):
+        # sigma_1 = 9.89937 and sigma_2 = 9.89738 straddle tau = 9.89822 over
+        # a bulk below 9.7; 3 of 1,000 seeded cases of this family miss
+        # sigma_1, at one BLAS thread and more
+        rng = np.random.default_rng(1002)
+        s = np.concatenate([[9.89937, 9.89738], np.sort(rng.uniform(0, 9.7, 129))[::-1]])
+        U = np.linalg.qr(rng.standard_normal((182, 131)))[0]
+        V = np.linalg.qr(rng.standard_normal((131, 131)))[0]
+        F = truncated_svd((U * s) @ V.T, 1, seed=18, floor=9.89822)
+        np.testing.assert_allclose(F.sigmas, s[:1], rtol=1e-12)
+
     def test_unreachable_tol_stops_at_step_budget(self, monkeypatch):
-        # k = 2: blocks of max(2k + 10, 16) = 16 steps, budget 16 (10k + 1)
-        # = 336 < min(m, n).  The second value settles under the floor; no
-        # residual meets a negative tol (a converged one can be exactly 0).
+        # k = 2: a block of max(2k + 10, 16) = 16 steps sets the budget,
+        # 16 (10k + 1) = 336 < min(m, n).  The second value settles under
+        # the floor; no residual meets a negative tol (a converged one can
+        # be exactly 0).
         rng = np.random.default_rng(11)
         m, n = 400, 380
         s = np.concatenate([[10.0, 1.0], rng.uniform(0.0, 0.5, size=n - 2)])
         U = np.linalg.qr(rng.standard_normal((m, n)))[0]
         V = np.linalg.qr(rng.standard_normal((n, n)))[0]
         M = (U * s) @ V.T
-        # each step orthogonalizes one new left vector against the U basis
+        # each step orthogonalizes one new left vector against the U basis,
+        # whose rows are the left vectors taken so far
         steps = []
         reorthogonalize = linalg._reorthogonalize
 
-        def counting(w, basis, ncols):
-            if basis.shape[0] == m:
-                steps.append(ncols)
-            return reorthogonalize(w, basis, ncols)
+        def counting(w, basis):
+            if basis.shape[1] == m:
+                steps.append(basis.shape[0])
+            return reorthogonalize(w, basis)
 
         monkeypatch.setattr(linalg, "_reorthogonalize", counting)
         monkeypatch.setattr(linalg, "LANCZOS_TOL", -1.0)

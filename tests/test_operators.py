@@ -292,6 +292,18 @@ class TestSamplingConstruction:
         with pytest.raises(ValueError):
             SamplingOperator(3, 3, [0, 3], [0, 0])
 
+    def test_flat_index_overflow_refused(self):
+        # 2**20 x 2**50 has 2**70 entries: rows * n + cols would wrap in
+        # int64 and put (2**20 - 1, 0) at (0, 0)
+        with pytest.raises(ValueError, match=f"{2**20}x{2**50} matrix"):
+            SamplingOperator(2**20, 2**50, [2**20 - 1, 0], [0, 1])
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            SamplingOperator(2, 2**62, [0], [0])
+        # m * n = 2**63 - 1 still fits
+        S = SamplingOperator(1, 2**63 - 1, [0], [2**63 - 2]).adjoint([7.0])
+        assert S.shape == (1, 2**63 - 1)
+        assert (S.indices.tolist(), S.data.tolist()) == ([2**63 - 2], [7.0])
+
     def test_virtual_fisher_yates_distinct_and_seeded(self):
         idx = sample_indices_without_replacement(10**9, 500, seed=7)
         assert np.unique(idx).size == 500
