@@ -21,17 +21,13 @@ import scipy.sparse as sp
 RANK_TOL = 1e-12
 UNIT_TOL = 1e-10
 ORTHO_TOL = 1e-8
-# Truncated SVDs with min(m, n) above this always take the Lanczos path.
-# Smaller ones take it only above LANCZOS_BLOCK_RATIO times its block of
-# max(2k + 10, 16) steps; below that LAPACK's full SVD is faster.
+# Truncated SVDs with min(m, n) above this, or above LANCZOS_BLOCK_RATIO
+# times _lanczos_block(k), take Lanczos; below, LAPACK's full SVD is faster.
 DENSE_FALLBACK_DIM = 400
 LANCZOS_BLOCK_RATIO = 6
 # Floored truncated SVDs with min(m, n) up to this try _gram_svd first.
 GRAM_MAX_DIM = 128
 GRAM_MAX_RATIO = 1e3
-# Lanczos steps between an unfloored call's Ritz-residual checks after
-# its first block.
-CHECK_EVERY = 4
 # Relative residual at which a Lanczos Ritz triplet counts as converged.
 LANCZOS_TOL = 1e-10
 SVD_MODES = ("auto", "dense", "lanczos")
@@ -237,12 +233,9 @@ def truncated_svd(M, k, mode="auto", seed=0, floor=0.0):
         ``floor**2`` if ``floor > 0``, min(m, n) <= ``GRAM_MAX_DIM`` and
         sigma_1 <= ``GRAM_MAX_RATIO * floor``, else the dense path or
         Lanczos by the rule at ``DENSE_FALLBACK_DIM``.  Lanczos converges
-        each Ritz triplet to a relative residual of ``LANCZOS_TOL``.  With a
-        floor it checks its Ritz values after k + 2 steps and then every
-        max(1, j // 8) steps; without one, after max(2k + 10, 16) steps and
-        then every ``CHECK_EVERY``.  ``_lanczos_svd`` says how it stores
-        and reorthogonalizes its vectors.  The explicit modes force one of
-        the last two.  The dense path takes LAPACK's full SVD but
+        each Ritz triplet to a relative residual of ``LANCZOS_TOL``, on the
+        check schedule ``_lanczos_svd`` states.  The explicit modes force
+        one of the last two.  The dense path takes LAPACK's full SVD but
         sign-fixes and validates only its triplets.
     seed : int
         Seed for the Lanczos start vector (results are deterministic).
@@ -273,7 +266,7 @@ def truncated_svd(M, k, mode="auto", seed=0, floor=0.0):
         if F is not None:
             return F
     if mode == "auto":
-        dense_up_to = min(DENSE_FALLBACK_DIM, LANCZOS_BLOCK_RATIO * max(2 * k + 10, 16))
+        dense_up_to = min(DENSE_FALLBACK_DIM, LANCZOS_BLOCK_RATIO * _lanczos_block(k))
         mode = "lanczos" if min(shape) > dense_up_to else "dense"
 
     def leading(s):
@@ -333,6 +326,12 @@ def _grown(basis, rows):
     return out
 
 
+def _lanczos_block(k):
+    # An unfloored Lanczos call's steps before its first Ritz check; the
+    # routing rule and the step budget scale with it.
+    return max(2 * k + 10, 16)
+
+
 def _lanczos_svd(matvec, rmatvec, shape, k, floor, seed):
     """Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization.
 
@@ -341,14 +340,14 @@ def _lanczos_svd(matvec, rmatvec, shape, k, floor, seed):
     of the ``k`` leading triplets has a residual within ``LANCZOS_TOL`` of
     the top Ritz value, or a Ritz value plus ten residuals at most
     ``floor``; while the k-th is above a positive ``floor``, k grows by
-    five and the recurrence goes on.  With ``floor > 0`` the first check
-    comes after k + 2 steps and the next ones every max(1, j // 8) steps,
-    so a check's O(j^3) core SVD stays a fixed share of the steps' cost.
-    Without a floor the first check comes after a block of max(2k + 10,
-    16) steps and the next ones every ``CHECK_EVERY`` steps.  The budget
-    is block * (10k + 1) steps, capped at min(m, n).  Once the Krylov
-    space is complete (an exact breakdown, i.e. a zero recurrence norm,
-    or min(m, n) steps), every Ritz triplet is exact and all are returned.
+    five and the recurrence goes on.  The first check comes after k + 2
+    steps with ``floor > 0`` (a floor can settle a Ritz value early) and
+    after the block (``_lanczos_block``) without; from a check at step j
+    the next comes max(1, j // 8) steps later, so the checks' O(j^3) core
+    SVDs stay a fixed share of the steps' cost.  The budget is block *
+    (10k + 1) steps, capped at min(m, n).  Once the Krylov space is
+    complete (an exact breakdown, i.e. a zero recurrence norm, or min(m, n)
+    steps), every Ritz triplet is exact and all are returned.
 
     The Lanczos vectors are stored one per row, in arrays sized for the
     first check and doubled when a later one needs more, so a call writes
@@ -359,10 +358,8 @@ def _lanczos_svd(matvec, rmatvec, shape, k, floor, seed):
     m, n = shape
     minmn = min(m, n)
     rng = np.random.default_rng(seed)
-    block = min(minmn, max(2 * k + 10, 16))
-    budget = min(minmn, block * (10 * k + 1))
-
-    target = min(budget, k + 2) if floor > 0 else block
+    budget = min(minmn, _lanczos_block(k) * (10 * k + 1))
+    target = min(budget, k + 2 if floor > 0 else _lanczos_block(k))
     U = np.empty((target, m))
     V = np.empty((target, n))
     alphas, betas = [], []  # betas[j] couples v_{j+1} to u_j
@@ -427,10 +424,10 @@ def _lanczos_svd(matvec, rmatvec, shape, k, floor, seed):
             # All k settled above the floor, so more may lie above it:
             # extend the same recurrence to five more triplets.
             k = min(k + 5, minmn)
-            budget = min(minmn, max(2 * k + 10, 16) * (10 * k + 1))
+            budget = min(minmn, _lanczos_block(k) * (10 * k + 1))
         elif j == budget:
             raise LanczosConvergenceError(settled, k, j)
-        target = min(budget, j + (max(1, j // 8) if floor > 0 else CHECK_EVERY))
+        target = min(budget, j + max(1, j // 8))
 
 
 def svd_of_factored(X):

@@ -193,6 +193,8 @@ class SamplingOperator(MeasurementOperator):
 
     def __init__(self, m, n, rows, cols):
         self.m, self.n = int(m), int(n)
+        if min(self.m, self.n) < 0:
+            raise ValueError(f"matrix sizes must be nonnegative, got {self.m}x{self.n}")
         nbytes = 8 * (self.m + 1)
         if nbytes > ROW_POINTER_LIMIT_BYTES:
             raise ValueError(

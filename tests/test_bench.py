@@ -172,6 +172,28 @@ class TestSweeps:
         h2, rows2 = run_table1([20], trials=3, seed=0, workers=2)
         assert rows1 == rows2
 
+    def test_rows_do_not_depend_on_workers_or_blas_threads(self, tmp_path):
+        # ADMiRA's Lanczos route (n = 150 > 108 at r = 2), noiseless and at
+        # 20 dB, and SVT's, each setting in a fresh process so that nothing
+        # global changes here
+        code = ("import sys\n"
+                "from admira.bench import run_table1, run_table2\n"
+                "out, workers = sys.argv[1], int(sys.argv[2])\n"
+                "run_table1([150], trials=2, out_csv=out + '-t1.csv', workers=workers)\n"
+                "run_table2(r_list=[2], density_list=[0.3], n=150, trials=2,\n"
+                "           out_csv=out + '-t2.csv', workers=workers)\n")
+        csvs = set()
+        for threads in (1, 2):
+            for workers in (1, 2):
+                out = tmp_path / f"{threads}-{workers}"
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                           PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+                subprocess.run([sys.executable, "-c", code, str(out), str(workers)],
+                               env=env, check=True, capture_output=True, timeout=300)
+                csvs.add(tuple(Path(f"{out}-{t}.csv").read_bytes() for t in ("t1", "t2")))
+        assert len(csvs) == 1
+        assert [csv.count(b"\n") for csv in csvs.pop()] == [2, 2]
+
     def test_determinism_across_runs(self):
         _, a = run_phase([200], [1], n=20, trials=2, seed=5)
         _, b = run_phase([200], [1], n=20, trials=2, seed=5)

@@ -210,8 +210,9 @@ class TestEmptyAndInvalid:
         (fileio.read_vector, "1\nfoo\n", "could not convert"),
         (fileio.read_operator, "4 99999999999999999999 1\n1 1\n",
          "4x99999999999999999999 matrix has 2**63 or more entries"),
+        (fileio.read_operator, "-1 4 0\n", "matrix sizes must be nonnegative, got -1x4"),
     ], ids=["factored header", "factored entry", "dense entry", "operator header",
-            "vector entry", "operator flat index"])
+            "vector entry", "operator flat index", "operator negative size"])
     def test_malformed_input_names_the_file(self, tmp_path, read, text, message):
         path = tmp_path / "in.txt"
         path.write_text(text)

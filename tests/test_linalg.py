@@ -269,6 +269,32 @@ class TestTruncatedSvd:
             np.testing.assert_allclose(F.sigmas, ref, rtol=1e-10)
         assert calls == [path, path]
 
+    @pytest.mark.parametrize("k, floor, first, q", [(20, 0.0, 50, 20),
+                                                    (3, 0.959, 5, 9)],
+                             ids=["unfloored", "floored"])
+    def test_ritz_checks_every_eighth_of_the_steps(self, monkeypatch, k, floor,
+                                                   first, q):
+        # Each Ritz check takes one SVD of the j-row bidiagonal core.  The
+        # first comes after the block of max(2k + 10, 16) steps, or after
+        # k + 2 with a floor; from a check at step j the next comes
+        # max(1, j // 8) steps later, floored or not.  A slowly decaying
+        # spectrum (the floor lies between its 9th and 10th values) takes
+        # both calls past 100 steps.
+        s = 1.0 / (1.0 + 0.005 * np.arange(300))
+        checks = []
+        svd = np.linalg.svd
+
+        def spy(B, *args, **kwargs):
+            checks.append(B.shape[0])
+            return svd(B, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        F = truncated_svd(sp.diags(s).tocsr(), k, mode="lanczos", floor=floor)
+        np.testing.assert_allclose(F.sigmas, s[:q], rtol=1e-10)
+        assert checks[0] == first and checks[-1] > 100
+        assert [b - a for a, b in zip(checks, checks[1:])] == [
+            max(1, a // 8) for a in checks[:-1]]
+
     def test_sparse_input_auto(self):
         import scipy.sparse as sp
 

@@ -291,6 +291,11 @@ class TestSamplingConstruction:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             SamplingOperator(3, 3, [0, 3], [0, 0])
+        # a negative size is refused by name, before m * n is used
+        for m, n in ((-1, 5), (3, -2), (-2, -3)):
+            with pytest.raises(ValueError) as err:
+                SamplingOperator(m, n, [], [])
+            assert str(err.value) == f"matrix sizes must be nonnegative, got {m}x{n}"
 
     def test_flat_index_overflow_refused(self):
         # 2**20 x 2**50 has 2**70 entries: rows * n + cols would wrap in
